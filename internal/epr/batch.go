@@ -22,6 +22,11 @@ type Batch struct {
 	AV, PAV  *bitset.Matrix
 
 	Cost dataflow.Counter
+
+	// walk, when set (the transformation loop sets it), is the path-walk
+	// scratch the batch's analyses share for Redundant, which is then not
+	// safe to call concurrently on analyses of one batch.
+	walk *savingWalk
 }
 
 // AnalyzeBatch solves ANT/PAN/AV/PAV for all exprs at once with the given
@@ -94,6 +99,7 @@ func (b *Batch) Analysis(k int) *Analysis {
 		PAV:    b.PAV.Column(k),
 		fam:    b.Family,
 		famIdx: k,
+		walk:   b.walk,
 	}
 	a.placeAndDelete()
 	return a

@@ -18,9 +18,9 @@
 // often than before; deletions make partially redundant computations
 // vanish. The paper's PP profitability rules (merge rule and multiedge
 // rule) are provided as a diagnostic analysis; the transformation uses the
-// busy/earliest placement, whose possible superfluous code motion the
-// paper explicitly tolerates ("there is no experimental data showing the
-// superiority of any single strategy").
+// busy/earliest placement ("there is no experimental data showing the
+// superiority of any single strategy"), applied only when it is a strict
+// saving (Analysis.Redundant), so it never moves code without benefit.
 package epr
 
 import (
@@ -70,6 +70,10 @@ type Analysis struct {
 	// KILLS bits instead of re-walking expressions per node.
 	fam    *anticip.Family
 	famIdx int
+
+	// walk is the scratch of Redundant's path walk, shared across a
+	// transformation run (nil: Redundant allocates its own).
+	walk *savingWalk
 }
 
 // computes reports whether node n computes a.Expr, via the family's
@@ -267,18 +271,96 @@ func (a *Analysis) placeAndDelete() {
 	}
 }
 
-// Redundant reports whether the transformation has dynamic benefit: some
-// computation slated for deletion is at least partially redundant (the
-// expression is partially available at its input — true for straight-line
-// CSE, if-shaped partial redundancies, and loop-invariant computations
-// reached again via a back edge). Without such a point the busy placement
-// would only move code without reducing any path's computation count.
+// Redundant reports whether the transformation is a strict saving: some
+// computation slated for deletion is reached by an earlier computation of
+// the expression along a path that crosses no assignment to its variables
+// and none of this candidate's insertion edges. Deleting that computation
+// removes an evaluation from the path (straight-line CSE, if-shaped
+// partial redundancies, loop invariants reached again via a back edge),
+// and busy insertions never add one to any path. Without such a point the
+// placement would only move code: partial availability alone is not
+// enough, because inside a loop it can come from the same computation's
+// previous iteration, and accepting that would re-hoist the inserted
+// temporary round after round without saving anything.
 func (a *Analysis) Redundant() bool {
+	w := a.walk
+	if w == nil {
+		w = &savingWalk{}
+	}
+	stamped := false
 	for _, nid := range a.Delete {
 		ins := a.G.InEdges(nid)
-		if len(ins) == 1 && a.PAV[ins[0]] {
+		// PAV at the input is necessary for such a path; it filters out
+		// most deletions before any walk.
+		if len(ins) != 1 || !a.PAV[ins[0]] {
+			continue
+		}
+		if !stamped {
+			w.begin(a.G)
+			for _, eid := range a.Insert {
+				w.insert[eid] = w.epoch
+			}
+			stamped = true
+		}
+		if a.earlierComputation(w, ins[0]) {
 			return true
 		}
+	}
+	return false
+}
+
+// savingWalk is the reusable state of Redundant's backward walk. Marks are
+// epoch-stamped, so starting a walk neither clears nor allocates once the
+// arrays have grown to the graph's size.
+type savingWalk struct {
+	epoch  uint32
+	seen   []uint32 // per NodeID: visited during this epoch
+	insert []uint32 // per EdgeID: an insertion edge of this epoch's candidate
+	stack  []cfg.EdgeID
+}
+
+// begin opens a new epoch sized for g.
+func (w *savingWalk) begin(g *cfg.Graph) {
+	w.epoch++
+	if w.epoch == 0 { // wrapped: stale stamps could collide
+		clear(w.seen)
+		clear(w.insert)
+		w.epoch = 1
+	}
+	if n := g.NumNodes(); len(w.seen) < n {
+		w.seen = append(w.seen, make([]uint32, n-len(w.seen))...)
+	}
+	if n := g.NumEdges(); len(w.insert) < n {
+		w.insert = append(w.insert, make([]uint32, n-len(w.insert))...)
+	}
+}
+
+// earlierComputation walks backward from edge from and reports whether it
+// reaches a node computing a.Expr without passing an insertion edge, a
+// killing node, or start. Nodes visited by an earlier unsuccessful walk of
+// the same epoch are skipped: the stopping rules do not depend on where
+// the walk began.
+func (a *Analysis) earlierComputation(w *savingWalk, from cfg.EdgeID) bool {
+	g := a.G
+	w.stack = append(w.stack[:0], from)
+	for len(w.stack) > 0 {
+		eid := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
+		if w.insert[eid] == w.epoch {
+			continue // the inserted computation supplies the value here
+		}
+		n := g.Edge(eid).Src
+		if w.seen[n] == w.epoch {
+			continue
+		}
+		w.seen[n] = w.epoch
+		if g.Node(n).Kind == cfg.KindStart || a.kills(n) {
+			continue
+		}
+		if a.computes(n) {
+			return true
+		}
+		w.stack = append(w.stack, g.InEdges(n)...)
 	}
 	return false
 }
@@ -552,11 +634,26 @@ func ApplyPlaced(g *cfg.Graph, driver Driver, placement Placement) (*cfg.Graph, 
 // transformation loop itself stays sequential (each accepted candidate
 // mutates the graph the next one is analyzed against).
 func ApplyPlacedWorkers(g *cfg.Graph, driver Driver, placement Placement, workers int) (*cfg.Graph, Stats, error) {
+	return applyPlaced(g, driver, placement, workers, nil)
+}
+
+// ApplyObserved is ApplyPlacedWorkers with busy placement that also hands
+// observe the analysis of every candidate of the first round, solved
+// against the unmodified input before any edit — the same analyses
+// AnalyzeBatch would return for g, without solving the family a second
+// time. The analyses view the graph the transformation goes on to mutate,
+// so observe must extract what it needs before returning.
+func ApplyObserved(g *cfg.Graph, driver Driver, workers int, observe func([]*Analysis)) (*cfg.Graph, Stats, error) {
+	return applyPlaced(g, driver, PlaceBusy, workers, observe)
+}
+
+func applyPlaced(g *cfg.Graph, driver Driver, placement Placement, workers int, observe func([]*Analysis)) (*cfg.Graph, Stats, error) {
 	out := Clone(g)
 	var st Stats
 	tmp := 0
 	var d *dfg.Graph
 	var sc anticip.Scratch // solver buffers reused across every re-solve
+	var walk savingWalk    // Redundant's path-walk marks, likewise
 	var pool *anticip.ScratchPool
 	if workers > 1 {
 		pool = anticip.NewScratchPool(workers)
@@ -586,11 +683,28 @@ func ApplyPlacedWorkers(g *cfg.Graph, driver Driver, placement Placement, worker
 		if err != nil {
 			return nil, st, err
 		}
+		b.walk = &walk
+		// first holds the round's analyses until its first edit, when they
+		// go stale; only an observed first round builds them up front.
+		var first []*Analysis
+		if rounds == 0 && observe != nil {
+			first = make([]*Analysis, len(exprs))
+			for k := range exprs {
+				first[k] = b.Analysis(k)
+			}
+			observe(first)
+		}
 		for k := range exprs {
-			a := b.Analysis(k)
+			var a *Analysis
+			if first != nil {
+				a = first[k]
+			} else {
+				a = b.Analysis(k)
+			}
 			if !a.Redundant() {
 				continue
 			}
+			first = nil
 			name := fmt.Sprintf("epr_t%d", tmp)
 			tmp++
 			var ins, rep int
@@ -624,6 +738,7 @@ func ApplyPlacedWorkers(g *cfg.Graph, driver Driver, placement Placement, worker
 				if b, err = analyzeFamilyPar(fam, driver, d, &sc, pool, workers); err != nil {
 					return nil, st, err
 				}
+				b.walk = &walk
 			}
 		}
 		if !changed {

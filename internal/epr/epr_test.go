@@ -408,32 +408,27 @@ func TestStatsRoundsAndConvergence(t *testing.T) {
 	}
 }
 
-// TestStatsNonConvergenceSurfaced: the round cap truncates the fixpoint on
-// typical Mixed workloads (each transformation's temp assignment is a fresh
-// candidate next round); Stats must say so instead of truncating silently.
+// TestStatsNonConvergenceSurfaced: a program that genuinely needs more
+// transformation rounds than the cap — a depth-12 nested sum computed
+// twice, one level removed per round — must say so in Stats instead of
+// truncating silently.
 func TestStatsNonConvergenceSurfaced(t *testing.T) {
-	found := false
-	for seed := int64(1); seed <= 5; seed++ {
-		g, err := cfg.Build(workload.Mixed(15, seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, st, err := Apply(g, DriverDFG)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Converged {
-			continue
-		}
-		found = true
-		if st.Rounds != 10 {
-			t.Errorf("seed %d: non-converged run reports %d rounds, want the cap (10)", seed, st.Rounds)
-		}
-		if st.DFGPatches == 0 {
-			t.Errorf("seed %d: DriverDFG run with transformations recorded no patches: %v", seed, st)
-		}
+	g, err := cfg.Build(workload.NestedSum(12))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !found {
-		t.Fatalf("no Mixed(15) seed in 1..5 hit the round cap; pick a harder workload for this regression test")
+	opt, st, err := Apply(g, DriverDFG)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if st.Converged {
+		t.Fatalf("depth-12 nested sum converged within the cap: %v", st)
+	}
+	if st.Rounds != maxRounds {
+		t.Errorf("non-converged run reports %d rounds, want the cap (%d)", st.Rounds, maxRounds)
+	}
+	if st.DFGPatches == 0 {
+		t.Errorf("DriverDFG run with transformations recorded no patches: %v", st)
+	}
+	differential(t, g, opt, "nested-sum-cap", true)
 }

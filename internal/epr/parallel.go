@@ -3,10 +3,8 @@ package epr
 import (
 	"dfg/internal/anticip"
 	"dfg/internal/bitset"
-	"dfg/internal/cfg"
 	"dfg/internal/dataflow"
 	"dfg/internal/dfg"
-	"dfg/internal/lang/ast"
 	"dfg/internal/parallel"
 )
 
@@ -65,20 +63,4 @@ func dfgAVPAVBatchParallel(f *anticip.Family, d *dfg.Graph, opsOf map[string][]d
 		cost.Add(c)
 	}
 	return av, pav
-}
-
-// AnalyzeBatchWorkers is AnalyzeBatch with the candidate words of every
-// fixpoint partitioned across up to workers goroutines (workers <= 1 or a
-// family under anticip.MinParallelWords runs the serial solvers). The batch
-// is bit-identical to AnalyzeBatch's.
-func AnalyzeBatchWorkers(g *cfg.Graph, exprs []ast.Expr, driver Driver, d *dfg.Graph, workers int) (*Batch, error) {
-	return analyzeFamilyPar(anticip.NewFamily(g, exprs), driver, d, nil, nil, parallel.Workers(workers))
-}
-
-// ApplyWorkers is Apply with intra-program parallel solving: every batched
-// re-solve of the transformation loop partitions its candidate words across
-// up to workers goroutines, with per-worker scratch arenas pooled across
-// the whole run. The transformed graph and stats are identical to Apply's.
-func ApplyWorkers(g *cfg.Graph, driver Driver, workers int) (*cfg.Graph, Stats, error) {
-	return ApplyPlacedWorkers(g, driver, PlaceBusy, workers)
 }

@@ -10,9 +10,11 @@ import (
 	"dfg/internal/workload"
 )
 
-// TestAnalyzeBatchWorkersIdentical pins the word-partitioned solvers to the
-// serial ones: every matrix of the batch must be bit-equal at every worker
-// count, for both drivers, including families much wider than one word.
+// TestAnalyzeBatchWorkersIdentical pins the word-partitioned solvers
+// (analyzeFamilyPar at workers > 1, as the transformation loop runs them)
+// to the serial ones: every matrix of the batch must be bit-equal at every
+// worker count, for both drivers, including families much wider than one
+// word.
 func TestAnalyzeBatchWorkersIdentical(t *testing.T) {
 	for _, size := range []int{15, 60, 200} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -28,7 +30,7 @@ func TestAnalyzeBatchWorkersIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{2, 3, 8} {
-					got, err := AnalyzeBatchWorkers(g, exprs, driver, nil, workers)
+					got, err := analyzeFamilyPar(anticip.NewFamily(g, exprs), driver, nil, nil, nil, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -54,8 +56,12 @@ func requireMatrixEqual(t *testing.T, label string, a, b *bitset.Matrix) {
 // transformed graph and stats must not depend on the worker count.
 func TestApplyWorkersIdentical(t *testing.T) {
 	for _, placement := range []Placement{PlaceBusy, PlaceLazy} {
-		for seed := int64(1); seed <= 3; seed++ {
+		for seed := int64(1); seed <= 6; seed++ {
+			// Odd seeds plant redundancies, so the edit path runs too.
 			prog := workload.Mixed(60, seed)
+			if seed%2 == 1 {
+				prog = workload.Redundant(12, seed)
+			}
 			g, err := cfg.Build(prog)
 			if err != nil {
 				t.Fatal(err)

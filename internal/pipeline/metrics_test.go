@@ -41,12 +41,18 @@ func TestStageAllocCounters(t *testing.T) {
 // TestEPRSnapshotCounters: the engine snapshot must aggregate the EPR
 // solver's observability — DFG maintenance mode (patches vs rebuild
 // fallbacks), batched-solver width, per-round candidate count, and
-// round-cap truncations — across requests.
+// round-cap truncations — across requests. The corpus plants genuine
+// redundancies (EPR edits only for a strict saving), one of them deeper
+// than the round cap allows.
 func TestEPRSnapshotCounters(t *testing.T) {
 	e := New(Config{Workers: 1, DisableCache: true})
 	ctx := context.Background()
-	for i := 0; i < 5; i++ {
-		if _, err := e.Analyze(ctx, Request{Source: workload.Mixed(15, int64(i+1)).String()}); err != nil {
+	srcs := []string{workload.NestedSum(12).String()}
+	for i := 0; i < 4; i++ {
+		srcs = append(srcs, workload.Redundant(6, int64(i+1)).String())
+	}
+	for _, src := range srcs {
+		if _, err := e.Analyze(ctx, Request{Source: src}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,6 +67,6 @@ func TestEPRSnapshotCounters(t *testing.T) {
 		t.Errorf("solver width counters unset: %+v", snap.EPR)
 	}
 	if snap.EPR.NonConverged == 0 {
-		t.Error("Mixed(15) corpus is known to hit the round cap; NonConverged stayed 0")
+		t.Error("the depth-12 nested sum needs more rounds than the cap; NonConverged stayed 0")
 	}
 }

@@ -556,25 +556,23 @@ func compute(st Stage, opts Options, res *Result, intra int) (any, error) {
 		}
 		return out, nil
 	case StageEPR:
+		// PerExpr reports the first round's analyses, which the
+		// transformation solves anyway before its first edit.
 		out := &EPRResult{}
-		b, err := epr.AnalyzeBatchWorkers(res.CFG, epr.CandidateExprs(res.CFG), epr.DriverDFG, res.DFG, intra)
-		if err != nil {
-			return nil, err
-		}
-		for k := 0; k < b.Len(); k++ {
-			a := b.Analysis(k)
-			pe := EPRExpr{Expr: a.Expr.String(), Redundant: a.Redundant()}
-			for _, eid := range a.Insert {
-				pe.Insert = append(pe.Insert, int(eid))
+		opt, st2, err := epr.ApplyObserved(res.CFG, epr.DriverDFG, intra, func(as []*epr.Analysis) {
+			for _, a := range as {
+				pe := EPRExpr{Expr: a.Expr.String(), Redundant: a.Redundant()}
+				for _, eid := range a.Insert {
+					pe.Insert = append(pe.Insert, int(eid))
+				}
+				for _, nid := range a.Delete {
+					pe.Delete = append(pe.Delete, int(nid))
+				}
+				sort.Ints(pe.Insert)
+				sort.Ints(pe.Delete)
+				out.PerExpr = append(out.PerExpr, pe)
 			}
-			for _, nid := range a.Delete {
-				pe.Delete = append(pe.Delete, int(nid))
-			}
-			sort.Ints(pe.Insert)
-			sort.Ints(pe.Delete)
-			out.PerExpr = append(out.PerExpr, pe)
-		}
-		opt, st2, err := epr.ApplyWorkers(res.CFG, epr.DriverDFG, intra)
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -77,9 +77,11 @@ type ConstpropReport struct {
 }
 
 // EPRReport deliberately omits the convergence counters (Rounds,
-// Converged, patch/rebuild tallies): typical Mixed workloads hit the
-// transformation round cap, so surfacing them here would churn the pinned
-// golden reports on every knob change. Non-convergence is observable on
+// Converged, patch/rebuild tallies): they depend on the round cap and the
+// DFG patch strategy, so surfacing them here would churn the pinned golden
+// reports on every knob change. Only redundancies staged deeper than the
+// cap reach it (EPR transforms a candidate only for a strict saving, so
+// typical workloads converge); non-convergence is observable on
 // Result.EPR.Stats and aggregated across requests in the engine Snapshot
 // (EPRStats.NonConverged), which cmd/dfg-serve exports via expvar.
 type EPRReport struct {

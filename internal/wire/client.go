@@ -202,22 +202,28 @@ func (c *Client) AnalyzeBatch(ctx context.Context, items []Item, onResult func(R
 	}
 }
 
-// watchCancel arms a goroutine that yanks the connection's read deadline to
+// watchCancel arranges for the connection's read deadline to be yanked to
 // "now" the moment ctx is cancelled, unblocking a read in progress. The
-// returned func disarms it; call via defer.
+// returned func disarms it; call via defer. Disarming waits for a
+// deadline change already under way, so none can land after it returns,
+// and a client whose watcher fired is marked broken: the change may have
+// come after the request finished, and a pooled connection must not carry
+// it into the next one.
 func (c *Client) watchCancel(ctx context.Context) func() {
 	if ctx.Done() == nil {
 		return func() {}
 	}
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			c.conn.SetReadDeadline(time.Now())
-		case <-stop:
+	fired := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		c.conn.SetReadDeadline(time.Now())
+		close(fired)
+	})
+	return func() {
+		if !stop() {
+			<-fired
+			c.broken = true
 		}
-	}()
-	return func() { close(stop) }
+	}
 }
 
 // StorePut (proto >= 2) pushes one finished artifact into the backend's

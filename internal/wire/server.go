@@ -216,6 +216,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err := send(frameHelloAck, HelloAck{Proto: proto, Schema: s.opts.Schema, Server: s.opts.Name}); err != nil {
 		return
 	}
+	// Clear the handshake deadline: the frame loop below only refreshes the
+	// read side, and a stale write deadline would break every pooled
+	// connection HandshakeTimeout after it was dialed.
+	conn.SetDeadline(time.Time{})
 
 	// Frame loop.
 	for {

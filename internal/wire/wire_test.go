@@ -406,3 +406,69 @@ func TestOversizeFrameRejected(t *testing.T) {
 		t.Fatalf("err = %v, want MaxFrame rejection", err)
 	}
 }
+
+// TestPooledClientOutlivesHandshakeTimeout: the server's handshake
+// deadline must not survive the handshake. It once covered the write side
+// too, which the frame loop never reset, so every pooled connection broke
+// HandshakeTimeout after it was dialed.
+func TestPooledClientOutlivesHandshakeTimeout(t *testing.T) {
+	const hs = 100 * time.Millisecond
+	addr, _ := startServer(t, echoHandler(0), ServerOptions{HandshakeTimeout: hs})
+	c, err := Dial(addr, ClientOptions{Schema: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.AnalyzeBatch(context.Background(), []Item{{Program: "p0"}}, nil); err != nil {
+		t.Fatalf("first batch: %v", err)
+	}
+	time.Sleep(3 * hs)
+	if err := c.Ping(context.Background()); err != nil {
+		t.Fatalf("ping after the handshake timeout: %v", err)
+	}
+	var got Result
+	if err := c.AnalyzeBatch(context.Background(), []Item{{Program: "p1"}}, func(r Result) { got = r }); err != nil {
+		t.Fatalf("batch after the handshake timeout: %v", err)
+	}
+	if !got.OK || got.Key != "key-p1" {
+		t.Fatalf("batch after the handshake timeout answered %+v", got)
+	}
+}
+
+// TestCancelAfterReturnKeepsPoolHealthy: cancelling a request's context
+// just after the request returned must not reach into the connection's
+// next request. The cancellation watcher once outlived its request and
+// could move the read deadline of a connection already back in the pool;
+// now disarming waits for it, and a client whose watcher fired reports
+// Broken so a pool discards it. The loop below plays the pool: reuse the
+// client unless it is broken.
+func TestCancelAfterReturnKeepsPoolHealthy(t *testing.T) {
+	addr, _ := startServer(t, echoHandler(0), ServerOptions{})
+	dial := func() *Client {
+		c, err := Dial(addr, ClientOptions{Schema: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	c := dial()
+	defer func() { c.Close() }()
+	for i := 0; i < 2000; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		err := c.AnalyzeBatch(ctx, []Item{{Program: fmt.Sprintf("a%d", i)}}, nil)
+		cancel()
+		if err != nil {
+			t.Fatalf("iteration %d: cancellable request: %v", i, err)
+		}
+		if c.Broken() {
+			c.Close()
+			c = dial()
+		}
+		if err := c.AnalyzeBatch(context.Background(), []Item{{Program: fmt.Sprintf("b%d", i)}}, nil); err != nil {
+			t.Fatalf("iteration %d: next request on the pooled client: %v", i, err)
+		}
+		if c.Broken() {
+			t.Fatalf("iteration %d: an uncancelled request broke the client", i)
+		}
+	}
+}

@@ -1,5 +1,5 @@
 // Package workload generates deterministic synthetic programs for tests and
-// for the scaling experiments of EXPERIMENTS.md. Two kinds of generators
+// for the scaling experiments of EXPERIMENTS.md. Three kinds of generators
 // are provided:
 //
 //   - Random structured/unstructured programs (Generate) used for
@@ -12,6 +12,10 @@
 //     WideSwitch (constant propagation V-sweep, E4), Wide (breadth-heavy
 //     sibling regions for the parallel analyses), and GotoMess
 //     (irreducible control flow for the cycle-equivalence benches, E8).
+//
+//   - Planted-redundancy programs for the EPR transformation tests:
+//     Redundant (every unit a genuine partial redundancy) and NestedSum
+//     (a redundancy that takes one transformation round per level).
 package workload
 
 import (
@@ -351,6 +355,95 @@ func Irreducible(n int, seed int64) *ast.Program {
 		fmt.Fprintf(&b, "print a;\nprint g%d;\n", i)
 	}
 	b.WriteString("print a;\n")
+	return parser.MustParse(b.String())
+}
+
+// Redundant returns a program of n units, each planting a genuine partial
+// redundancy: one that EPR removes for a strict saving. It is the positive
+// control for the transformation oracles, since the random families rarely
+// contain one. The units are
+//
+//   - straight-line CSE: an expression computed twice;
+//   - if-shaped PRE: computed on one arm of a conditional and again after
+//     the merge;
+//   - loop invariant: computed inside a do-while (goto) loop that never
+//     assigns its operands;
+//   - nested chain: a 3 to 5 deep expression computed twice, which EPR
+//     removes one level per round.
+//
+// Now and then a unit reassigns an operand between the two computations,
+// which cancels its redundancy; EPR must leave those alone. Loops are
+// counter-bounded, so every program terminates.
+func Redundant(n int, seed int64) *ast.Program {
+	rng := rand.New(rand.NewSource(seed))
+	const ins = 4
+	var b strings.Builder
+	b.WriteString("read p;\n")
+	for j := 0; j < ins; j++ {
+		fmt.Fprintf(&b, "read r%d;\n", j)
+	}
+	ops := []string{"+", "-", "*"}
+	var expr func(depth int) string
+	expr = func(depth int) string {
+		if depth == 0 {
+			return fmt.Sprintf("r%d", rng.Intn(ins))
+		}
+		return fmt.Sprintf("(%s %s r%d)", expr(depth-1), ops[rng.Intn(len(ops))], rng.Intn(ins))
+	}
+	maybeKill := func() {
+		if rng.Intn(5) == 0 {
+			r := rng.Intn(ins)
+			fmt.Fprintf(&b, "r%d := r%d + %d;\n", r, r, 1+rng.Intn(3))
+		}
+	}
+	for i := 0; i < n; i++ {
+		switch rng.Intn(4) {
+		case 0:
+			e := expr(1)
+			fmt.Fprintf(&b, "x%d := %s;\n", i, e)
+			maybeKill()
+			fmt.Fprintf(&b, "y%d := %s + %d;\n", i, e, rng.Intn(9))
+		case 1:
+			e := expr(1)
+			fmt.Fprintf(&b, "if (p > %d) { x%d := %s; } else { x%d := %d; }\n", rng.Intn(5), i, e, i, rng.Intn(9))
+			maybeKill()
+			fmt.Fprintf(&b, "y%d := %s;\n", i, e)
+		case 2:
+			fmt.Fprintf(&b, "x%d := 0;\nk%d := 0;\nlabel L%d:\n", i, i, i)
+			fmt.Fprintf(&b, "x%d := x%d + %s;\n", i, i, expr(1))
+			fmt.Fprintf(&b, "k%d := k%d + 1;\nif (k%d < %d) { goto L%d; }\n", i, i, i, 2+rng.Intn(3), i)
+			fmt.Fprintf(&b, "y%d := k%d;\n", i, i)
+		default:
+			e := expr(3 + rng.Intn(3))
+			fmt.Fprintf(&b, "x%d := %s;\n", i, e)
+			maybeKill()
+			fmt.Fprintf(&b, "y%d := %s;\n", i, e)
+		}
+	}
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "print x%d;\nprint y%d;\n", i, i)
+	}
+	for j := 0; j < ins; j++ {
+		fmt.Fprintf(&b, "print r%d;\n", j)
+	}
+	return parser.MustParse(b.String())
+}
+
+// NestedSum returns a program computing the depth-deep left-nested sum
+// (((a + v0) + v1) + ...) twice. Every level is a genuine redundancy, but
+// EPR can only see level i+1 once level i has been replaced by its
+// temporary, so it removes one level per round and needs depth+1 rounds
+// to converge: a depth at or above the transformation's round cap leaves
+// work undone.
+func NestedSum(depth int) *ast.Program {
+	var b strings.Builder
+	b.WriteString("read a;\n")
+	sum := "a"
+	for i := 0; i < depth; i++ {
+		fmt.Fprintf(&b, "read v%d;\n", i)
+		sum = fmt.Sprintf("(%s + v%d)", sum, i)
+	}
+	fmt.Fprintf(&b, "x := %s;\ny := %s;\nprint x;\nprint y;\n", sum, sum)
 	return parser.MustParse(b.String())
 }
 

@@ -46,7 +46,7 @@ func TestMixedProgramsValidAndTerminating(t *testing.T) {
 
 func TestMixedHasControlFlow(t *testing.T) {
 	// Aggregate over seeds: generated programs must contain branches and
-	// loops (this is what differential tests rely on).
+	// merges (this is what differential tests rely on).
 	switches, merges := 0, 0
 	for seed := int64(0); seed < 10; seed++ {
 		g := buildOK(t, Mixed(60, seed), "mixed")
@@ -183,5 +183,42 @@ func TestGenerateRespectsVarFloor(t *testing.T) {
 	p := Generate(c)
 	if len(p.Vars()) == 0 {
 		t.Error("no variables generated")
+	}
+}
+
+func TestRedundantValidAndTerminating(t *testing.T) {
+	if Redundant(8, 3).String() != Redundant(8, 3).String() {
+		t.Error("same seed must give the same program")
+	}
+	merges := 0
+	for seed := int64(0); seed < 20; seed++ {
+		g := buildOK(t, Redundant(8, seed), "redundant")
+		res, err := interp.Run(g, []int64{3, 5, -2, 7, 1}, 500000)
+		if err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+			continue
+		}
+		if want := 2*8 + 4; len(res.Output) != want {
+			t.Errorf("seed %d: printed %d values, want %d", seed, len(res.Output), want)
+		}
+		for _, nd := range g.Nodes {
+			if nd.Kind == cfg.KindMerge && len(g.InEdges(nd.ID)) >= 2 {
+				merges++
+			}
+		}
+	}
+	if merges == 0 {
+		t.Error("no conditional or loop merges in any seed")
+	}
+}
+
+func TestNestedSumShape(t *testing.T) {
+	g := buildOK(t, NestedSum(4), "nestedsum")
+	res, err := interp.Run(g, []int64{1, 2, 3, 4, 5}, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Outputs(); len(got) != 2 || got[0] != "15" || got[1] != "15" {
+		t.Errorf("printed %v, want [15 15]", got)
 	}
 }
