@@ -83,22 +83,6 @@ func startFrontier(t *testing.T, workers ...*testWorker) (*httptest.Server, *fro
 	return ts, f
 }
 
-// inProcessReportJSON analyzes src on a fresh private engine and returns the
-// canonical Report JSON — the ground truth the sharded path must match.
-func inProcessReportJSON(t *testing.T, src string) []byte {
-	t.Helper()
-	res, err := pipeline.New(pipeline.Config{}).Analyze(context.Background(), pipeline.Request{Source: src})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := res.Report()
-	b, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 // TestFrontierDifferential is the end-to-end acceptance criterion: a batch
 // analyzed through frontier + 2 workers over the wire protocol produces
 // byte-identical Report JSON to the in-process engine.
@@ -113,7 +97,7 @@ func TestFrontierDifferential(t *testing.T) {
 	for i := 0; i < n; i++ {
 		src := workload.Mixed(12, int64(100+i)).String()
 		breq.Requests = append(breq.Requests, analyzeRequest{Program: src})
-		want[i] = inProcessReportJSON(t, src)
+		want[i], _ = expectedAnswer(t, analyzeRequest{Program: src})
 	}
 	body, _ := json.Marshal(breq)
 	resp, err := http.Post(ts.URL+"/analyze/batch", "application/json", bytes.NewReader(body))
@@ -132,11 +116,7 @@ func TestFrontierDifferential(t *testing.T) {
 		if !r.OK {
 			t.Fatalf("result %d failed: %s", i, r.Error)
 		}
-		got, err := json.Marshal(r.Report)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want[i]) {
+		if got := compactJSON(t, r.Report); !bytes.Equal(got, want[i]) {
 			t.Fatalf("result %d: sharded report differs from in-process:\n%s\n%s", i, got, want[i])
 		}
 	}
@@ -165,8 +145,7 @@ func TestFrontierDifferential(t *testing.T) {
 		if code != http.StatusOK || !out.OK {
 			t.Fatalf("round %d: status=%d error=%q", round, code, out.Error)
 		}
-		got, _ := json.Marshal(out.Report)
-		if !bytes.Equal(got, want[0]) {
+		if !bytes.Equal(compactJSON(t, out.Report), want[0]) {
 			t.Fatalf("round %d: /analyze report differs from in-process", round)
 		}
 		if wantTier != "" && out.Tier != wantTier {
@@ -402,8 +381,8 @@ func TestServeStoreTier(t *testing.T) {
 	if out.Tier != string(pipeline.TierStore) {
 		t.Fatalf("post-restart tier = %q, want store", out.Tier)
 	}
-	// DOT requests still work (they bypass the report cache for live
-	// artifacts).
+	// DOT requests still work: the report comes through the report cache,
+	// the renderings from the engine's live artifacts.
 	code, out := postAnalyze(t, ts2, reqBody(t, analyzeRequest{Program: "read a; print a;", DOT: []string{"cfg"}}))
 	if code != http.StatusOK || !strings.HasPrefix(out.DOT["cfg"], "digraph") {
 		t.Fatalf("DOT on a store-backed server: code=%d dot=%.30q", code, out.DOT["cfg"])

@@ -1,10 +1,13 @@
 // Command dfg-serve exposes the analysis pipeline as a JSON HTTP service.
-// It runs in two modes:
+// Every request takes one path: decode, validate, derive the report key and
+// wire item, route, and convert the wire Result into the HTTP reply, whose
+// "report" is the canonical Report JSON spliced in verbatim. The two modes
+// differ only in where items are answered:
 //
-// In-process (default): every program is analyzed by this process's
-// pipeline engine, with stage artifacts memoized in the content-addressed
-// LRU; add -store to persist Reports in the on-disk artifact store so warm
-// traffic survives restarts.
+// In-process (default): this process's engine answers every item through
+// the same wire handler dfg-worker runs, with stage artifacts memoized in
+// the content-addressed LRU; add -store to persist Reports in the on-disk
+// artifact store so warm traffic survives restarts.
 //
 // Frontier (-backends): the process becomes the serving frontier of a
 // sharded deployment. Programs are consistent-hash routed over the wire
@@ -15,6 +18,10 @@
 //	dfg-worker -addr :8451 -store /var/lib/dfg/w1 &
 //	dfg-worker -addr :8452 -store /var/lib/dfg/w2 &
 //	dfg-serve  -backends 127.0.0.1:8451,127.0.0.1:8452
+//
+// Both modes report the cache tier ("tier": compute, lru or store) that
+// answered. DOT renderings are drawn by this process's engine from the cfg
+// and dfg stages alone, beside an unchanged report.
 //
 // Endpoints:
 //

@@ -56,7 +56,7 @@ func TestReplicationDifferential(t *testing.T) {
 	for i := 0; i < n; i++ {
 		src := workload.Mixed(12, int64(4000+i)).String()
 		breq.Requests = append(breq.Requests, analyzeRequest{Program: src})
-		want[i] = inProcessReportJSON(t, src)
+		want[i], _ = expectedAnswer(t, analyzeRequest{Program: src})
 	}
 	body, _ := json.Marshal(breq)
 	resp, err := http.Post(ts.URL+"/analyze/batch", "application/json", bytes.NewReader(body))
@@ -76,11 +76,7 @@ func TestReplicationDifferential(t *testing.T) {
 		if !r.OK {
 			t.Fatalf("result %d failed: %s", i, r.Error)
 		}
-		got, err := json.Marshal(r.Report)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want[i]) {
+		if got := compactJSON(t, r.Report); !bytes.Equal(got, want[i]) {
 			t.Fatalf("result %d: replicated-fleet report differs from in-process:\n%s\n%s", i, got, want[i])
 		}
 		keys[i] = r.Key

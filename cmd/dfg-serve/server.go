@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strings"
+	"sync"
 	"time"
 
 	"dfg/internal/backend"
@@ -33,27 +35,21 @@ type analyzeRequest struct {
 	// program under the CFG interpreter and the token-driven DFG executor
 	// and reports whether they agree.
 	Inputs []int64 `json:"inputs,omitempty"`
-	// DOT requests Graphviz renderings: any of "cfg", "dfg". DOT needs live
-	// graph artifacts, so such requests are always analyzed in-process.
+	// DOT requests Graphviz renderings: any of "cfg", "dfg". They are drawn
+	// by this process's engine beside the report, which they do not change.
 	DOT []string `json:"dot,omitempty"`
-}
-
-// stageMeta reports how one stage of the request was satisfied.
-type stageMeta struct {
-	CacheHit bool  `json:"cache_hit"`
-	NS       int64 `json:"ns"`
 }
 
 // analyzeResponse is the POST /analyze reply.
 type analyzeResponse struct {
-	OK     bool                 `json:"ok"`
-	Key    string               `json:"key,omitempty"`
-	Report *pipeline.Report     `json:"report,omitempty"`
-	Meta   map[string]stageMeta `json:"meta,omitempty"`
+	OK  bool   `json:"ok"`
+	Key string `json:"key,omitempty"`
+	// Report is the canonical Report JSON exactly as the answering backend
+	// produced it; only the response's indentation is applied on top.
+	Report json.RawMessage      `json:"report,omitempty"`
+	Meta   map[string]wire.Meta `json:"meta,omitempty"`
 	DOT    map[string]string    `json:"dot,omitempty"`
-	// Tier says which cache tier satisfied the request (compute/lru/store)
-	// when it was served through the report cache or a backend; empty on
-	// the legacy in-process path.
+	// Tier says which cache tier satisfied the request (compute/lru/store).
 	Tier  string `json:"tier,omitempty"`
 	Error string `json:"error,omitempty"`
 }
@@ -73,13 +69,13 @@ type batchResponse struct {
 
 // serverOptions configure newMux beyond the engine.
 type serverOptions struct {
-	// Frontier, when non-nil, routes analyses to remote backends; nil keeps
-	// every analysis in-process (the pre-sharding behaviour).
+	// Frontier, when non-nil, routes analyses to remote backends; nil
+	// answers them with this process's engine.
 	Frontier *frontier.Frontier
 	// MaxBody bounds a POST /analyze body; <=0 means 4 MiB. Batch bodies
 	// get 16x this budget.
 	MaxBody int64
-	// Timeout is forwarded to backends as the per-item analysis budget;
+	// Timeout is the per-item analysis budget carried by every wire item;
 	// <=0 means 30s.
 	Timeout time.Duration
 }
@@ -97,6 +93,7 @@ func (o *serverOptions) defaults() {
 // fleet of wire backends.
 type server struct {
 	eng   *pipeline.Engine
+	local wire.Handler // backend.Handler(eng): answers items when front is nil
 	front *frontier.Frontier
 	opts  serverOptions
 }
@@ -104,7 +101,7 @@ type server struct {
 // newMux builds the service's routing table around eng.
 func newMux(eng *pipeline.Engine, opts serverOptions) *http.ServeMux {
 	opts.defaults()
-	s := &server{eng: eng, front: opts.Frontier, opts: opts}
+	s := &server{eng: eng, local: backend.Handler(eng), front: opts.Frontier, opts: opts}
 	eng.PublishExpvar("pipeline")
 	if s.front != nil && expvar.Get("frontier") == nil {
 		expvar.Publish("frontier", expvar.Func(func() any { return s.front.Stats() }))
@@ -170,34 +167,37 @@ func (req *analyzeRequest) options() pipeline.Options {
 	}
 }
 
-// validate checks one analyzeRequest, returning the expanded stage list.
-func validate(req *analyzeRequest, allowDOT bool) ([]pipeline.Stage, error) {
+// validate checks one analyzeRequest and builds its report key and wire
+// item, the form in which every mode answers it.
+func (s *server) validate(req *analyzeRequest, allowDOT bool) (string, wire.Item, error) {
 	if strings.TrimSpace(req.Program) == "" {
-		return nil, errors.New("empty program")
+		return "", wire.Item{}, errors.New("empty program")
 	}
 	if !pipeline.ValidSourceKind(pipeline.SourceKind(req.SourceKind)) {
-		return nil, fmt.Errorf("unknown source kind %q", req.SourceKind)
+		return "", wire.Item{}, fmt.Errorf("unknown source kind %q", req.SourceKind)
 	}
 	stages := make([]pipeline.Stage, 0, len(req.Stages))
 	for _, st := range req.Stages {
 		stage := pipeline.Stage(st)
 		if !pipeline.ValidStage(stage) {
-			return nil, fmt.Errorf("unknown stage %q", st)
+			return "", wire.Item{}, fmt.Errorf("unknown stage %q", st)
 		}
 		stages = append(stages, stage)
 	}
 	for _, d := range req.DOT {
 		if !allowDOT {
-			return nil, errors.New("dot renderings are not available on batch requests")
+			return "", wire.Item{}, errors.New("dot renderings are not available on batch requests")
 		}
 		if d != "cfg" && d != "dfg" {
-			return nil, fmt.Errorf("unknown dot target %q (want cfg or dfg)", d)
+			return "", wire.Item{}, fmt.Errorf("unknown dot target %q (want cfg or dfg)", d)
 		}
-		// DOT needs the corresponding artifact even if its stage was not
-		// requested explicitly.
-		stages = append(stages, pipeline.Stage(d))
 	}
-	return stages, nil
+	opts := req.options()
+	key, err := pipeline.ReportKey(req.Program, opts, stages)
+	if err != nil {
+		return "", wire.Item{}, err
+	}
+	return key, backend.Item(req.Program, req.Stages, opts, s.opts.Timeout), nil
 }
 
 func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -205,153 +205,83 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, s.opts.MaxBody, &req) {
 		return
 	}
-	stages, err := validate(&req, true)
+	key, item, err := s.validate(&req, true)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, analyzeResponse{Error: err.Error()})
 		return
 	}
-
-	// Three serving paths, in preference order: remote backends (no DOT),
-	// the local two-tier report cache (store configured, no DOT), legacy
-	// in-process with live artifacts.
-	if s.front != nil && len(req.DOT) == 0 {
-		resp, code := s.analyzeRemote(r, &req)
-		writeJSON(w, code, resp)
-		return
+	ctx := r.Context()
+	var res wire.Result
+	if s.front != nil {
+		res, err = s.front.Analyze(ctx, key, item)
+	} else {
+		res = s.local(ctx, item)
 	}
-	if s.eng.ArtifactStore() != nil && len(req.DOT) == 0 {
-		resp, code := s.analyzeStored(r, &req)
-		writeJSON(w, code, resp)
-		return
+	resp, code := toHTTP(ctx, res, err)
+	if code == http.StatusOK && len(req.DOT) > 0 {
+		if resp.DOT, err = s.drawDOT(ctx, &req); err != nil {
+			resp, code = toHTTP(ctx, backend.Failure(err), nil)
+		}
 	}
+	writeJSON(w, code, resp)
+}
 
-	res, err := s.eng.Analyze(r.Context(), pipeline.Request{
+// drawDOT renders the requested graphs from this process's engine, running
+// only the stages they need.
+func (s *server) drawDOT(ctx context.Context, req *analyzeRequest) (map[string]string, error) {
+	stages := make([]pipeline.Stage, len(req.DOT))
+	for i, d := range req.DOT {
+		stages[i] = pipeline.Stage(d)
+	}
+	res, err := s.eng.Analyze(ctx, pipeline.Request{
 		Source:  req.Program,
 		Stages:  stages,
 		Options: req.options(),
+		Timeout: s.opts.Timeout,
 	})
 	if err != nil {
-		writeJSON(w, analysisErrCode(r, err), analyzeResponse{Error: err.Error()})
-		return
+		return nil, err
 	}
-
-	resp := analyzeResponse{OK: true, Key: res.Key, Meta: map[string]stageMeta{}}
-	rep := res.Report()
-	resp.Report = &rep
-	for st, info := range res.Stages {
-		resp.Meta[string(st)] = stageMeta{CacheHit: info.CacheHit, NS: info.Duration.Nanoseconds()}
-	}
+	dot := make(map[string]string, len(req.DOT))
 	for _, d := range req.DOT {
-		if resp.DOT == nil {
-			resp.DOT = map[string]string{}
-		}
-		switch d {
-		case "cfg":
-			resp.DOT["cfg"] = res.CFG.DOT("cfg", false)
-		case "dfg":
-			resp.DOT["dfg"] = res.DFG.DOT("dfg")
+		if d == "cfg" {
+			dot[d] = res.CFG.DOT("cfg", false)
+		} else {
+			dot[d] = res.DFG.DOT("dfg")
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return dot, nil
 }
 
-// analysisErrCode maps an engine error onto a status: analysis failures —
-// parse errors, malformed control flow, and recovered stage panics alike —
-// are the request's fault (422) and the server keeps serving; context
-// expiry is a timeout (408).
-func analysisErrCode(r *http.Request, err error) int {
-	if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
-		return http.StatusRequestTimeout
-	}
-	return http.StatusUnprocessableEntity
-}
-
-// analyzeStored serves one request through the engine's two-tier report
-// cache (in-memory LRU, then the persistent store, then compute).
-func (s *server) analyzeStored(r *http.Request, req *analyzeRequest) (analyzeResponse, int) {
-	rr, err := s.eng.AnalyzeReport(r.Context(), pipeline.Request{
-		Source:  req.Program,
-		Stages:  toStages(req.Stages),
-		Options: req.options(),
-	})
-	if err != nil {
-		return analyzeResponse{Error: err.Error()}, analysisErrCode(r, err)
-	}
-	resp := analyzeResponse{OK: true, Key: rr.Key, Tier: string(rr.Tier), Meta: map[string]stageMeta{}}
-	if rr.Tier == pipeline.TierCompute {
-		for st, info := range rr.Stages {
-			resp.Meta[string(st)] = stageMeta{CacheHit: info.CacheHit, NS: info.Duration.Nanoseconds()}
-		}
-	} else {
-		resp.Meta["report"] = stageMeta{CacheHit: true}
-	}
-	var rep pipeline.Report
-	if err := json.Unmarshal(rr.Raw, &rep); err != nil {
-		return analyzeResponse{Error: "malformed stored report: " + err.Error()}, http.StatusInternalServerError
-	}
-	resp.Report = &rep
-	return resp, http.StatusOK
-}
-
-// analyzeRemote routes one request through the frontier.
-func (s *server) analyzeRemote(r *http.Request, req *analyzeRequest) (analyzeResponse, int) {
-	key, item, err := s.wireItem(req)
-	if err != nil {
-		return analyzeResponse{Error: err.Error()}, http.StatusBadRequest
-	}
-	res, err := s.front.Analyze(r.Context(), key, item)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return analyzeResponse{Error: err.Error()}, http.StatusRequestTimeout
-		}
+// toHTTP converts one routed answer into the HTTP reply; the one status
+// rule for every mode and endpoint. A routing error (err) is 408 if the
+// client went away and 502 otherwise. A failed Result is 422 when the
+// program is at fault, else 408 if the client went away and 504 otherwise:
+// the analysis ran out of its budget. The report bytes are spliced in
+// verbatim.
+func toHTTP(ctx context.Context, res wire.Result, err error) (analyzeResponse, int) {
+	switch {
+	case err != nil && ctx.Err() != nil:
+		return analyzeResponse{Error: err.Error()}, http.StatusRequestTimeout
+	case err != nil:
 		return analyzeResponse{Error: err.Error()}, http.StatusBadGateway
+	case !res.OK && res.Unprocessable:
+		return analyzeResponse{Error: res.Error}, http.StatusUnprocessableEntity
+	case !res.OK && ctx.Err() != nil:
+		return analyzeResponse{Error: res.Error}, http.StatusRequestTimeout
+	case !res.OK:
+		return analyzeResponse{Error: res.Error}, http.StatusGatewayTimeout
+	case len(res.Report) == 0:
+		return analyzeResponse{Error: "malformed backend report: empty report"}, http.StatusBadGateway
 	}
-	return wireToHTTP(res)
-}
-
-// wireItem builds the routing key and wire item for one request.
-func (s *server) wireItem(req *analyzeRequest) (string, wire.Item, error) {
-	opts := req.options()
-	key, err := pipeline.ReportKey(req.Program, opts, toStages(req.Stages))
-	if err != nil {
-		return "", wire.Item{}, err
-	}
-	return key, backend.Item(req.Program, req.Stages, opts, s.opts.Timeout), nil
-}
-
-func toStages(names []string) []pipeline.Stage {
-	out := make([]pipeline.Stage, len(names))
-	for i, n := range names {
-		out[i] = pipeline.Stage(n)
-	}
-	return out
-}
-
-// wireToHTTP converts a backend's wire Result into the HTTP response shape.
-func wireToHTTP(res wire.Result) (analyzeResponse, int) {
-	if !res.OK {
-		code := http.StatusBadGateway
-		if res.Unprocessable {
-			code = http.StatusUnprocessableEntity
-		}
-		return analyzeResponse{Error: res.Error}, code
-	}
-	resp := analyzeResponse{OK: true, Key: res.Key, Tier: res.Tier, Meta: map[string]stageMeta{}}
-	for st, m := range res.Meta {
-		resp.Meta[st] = stageMeta{CacheHit: m.CacheHit, NS: m.NS}
-	}
-	var rep pipeline.Report
-	if err := json.Unmarshal(res.Report, &rep); err != nil {
-		return analyzeResponse{Error: "malformed backend report: " + err.Error()}, http.StatusBadGateway
-	}
-	resp.Report = &rep
-	return resp, http.StatusOK
+	return analyzeResponse{OK: true, Key: res.Key, Report: res.Report, Meta: res.Meta, Tier: res.Tier}, http.StatusOK
 }
 
 // handleAnalyzeBatch analyzes many programs in one call. In frontier mode
 // the batch is sharded across backends as real wire batches (results stream
-// backend-side as each program completes); in-process it fans across the
-// engine's worker pool. Per-item failures fail their slot, never the batch.
+// backend-side as each program completes); otherwise the items fan out over
+// the local handler, at most the engine's worker count at a time.
+// Per-item failures fail their slot, never the batch.
 func (s *server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 	var breq batchRequest
 	if !decodeBody(w, r, s.opts.MaxBody*16, &breq) {
@@ -363,60 +293,38 @@ func (s *server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	results := make([]analyzeResponse, len(breq.Requests))
-	type routed struct {
-		idx  int
-		key  string
-		item wire.Item
-	}
-	var ok []routed
+	var idxs []int
+	var keys []string
+	var items []wire.Item
 	for i := range breq.Requests {
-		req := &breq.Requests[i]
-		if _, err := validate(req, false); err != nil {
-			results[i] = analyzeResponse{Error: err.Error()}
-			continue
-		}
-		key, item, err := s.wireItem(req)
+		key, item, err := s.validate(&breq.Requests[i], false)
 		if err != nil {
 			results[i] = analyzeResponse{Error: err.Error()}
 			continue
 		}
-		ok = append(ok, routed{idx: i, key: key, item: item})
+		idxs, keys, items = append(idxs, i), append(keys, key), append(items, item)
 	}
 
+	ctx := r.Context()
+	var answers []wire.Result
 	if s.front != nil {
-		keys := make([]string, len(ok))
-		items := make([]wire.Item, len(ok))
-		for j, rt := range ok {
-			keys[j] = rt.key
-			items[j] = rt.item
-		}
-		wres := s.front.AnalyzeBatch(r.Context(), keys, items)
-		for j, rt := range ok {
-			results[rt.idx], _ = wireToHTTP(wres[j])
-		}
+		answers = s.front.AnalyzeBatch(ctx, keys, items)
 	} else {
-		reqs := make([]pipeline.Request, len(ok))
-		for j, rt := range ok {
-			reqs[j] = pipeline.Request{
-				Source:  rt.item.Program,
-				Stages:  toStages(rt.item.Stages),
-				Options: pipeline.Options{Predicates: rt.item.Predicates, ExecInputs: rt.item.Inputs},
-			}
+		answers = make([]wire.Result, len(items))
+		sem := make(chan struct{}, s.eng.Workers())
+		var wg sync.WaitGroup
+		for j, item := range items {
+			sem <- struct{}{}
+			wg.Add(1)
+			go func() {
+				defer func() { <-sem; wg.Done() }()
+				answers[j] = s.local(ctx, item)
+			}()
 		}
-		brs := s.eng.AnalyzeBatch(r.Context(), reqs)
-		for j, rt := range ok {
-			br := brs[j]
-			if br.Err != nil {
-				results[rt.idx] = analyzeResponse{Error: br.Err.Error()}
-				continue
-			}
-			rep := br.Result.Report()
-			resp := analyzeResponse{OK: true, Key: br.Result.Key, Report: &rep, Meta: map[string]stageMeta{}}
-			for st, info := range br.Result.Stages {
-				resp.Meta[string(st)] = stageMeta{CacheHit: info.CacheHit, NS: info.Duration.Nanoseconds()}
-			}
-			results[rt.idx] = resp
-		}
+		wg.Wait()
+	}
+	for j, res := range answers {
+		results[idxs[j]], _ = toHTTP(ctx, res, nil)
 	}
 	writeJSON(w, http.StatusOK, batchResponse{OK: true, Results: results})
 }

@@ -2,15 +2,19 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"dfg/internal/pipeline"
+	"dfg/internal/wire"
 )
 
 // panicMarker makes the injected StageHook blow up the dfg stage, proving
@@ -45,6 +49,16 @@ func postAnalyze(t *testing.T, ts *httptest.Server, body string) (int, analyzeRe
 	return resp.StatusCode, out
 }
 
+// decodeReport decodes the report an answer splices in verbatim.
+func decodeReport(t *testing.T, out analyzeResponse) pipeline.Report {
+	t.Helper()
+	var rep pipeline.Report
+	if err := json.Unmarshal(out.Report, &rep); err != nil {
+		t.Fatalf("decode report: %v", err)
+	}
+	return rep
+}
+
 func reqBody(t *testing.T, req analyzeRequest) string {
 	t.Helper()
 	b, err := json.Marshal(req)
@@ -73,9 +87,9 @@ func TestAnalyzeEveryExample(t *testing.T) {
 			if code != http.StatusOK || !out.OK {
 				t.Fatalf("status=%d ok=%v error=%q", code, out.OK, out.Error)
 			}
-			if out.Report == nil || out.Report.CFG == nil || out.Report.DFG == nil ||
-				out.Report.Constprop == nil || out.Report.EPR == nil {
-				t.Fatalf("incomplete report: %+v", out.Report)
+			rep := decodeReport(t, out)
+			if rep.CFG == nil || rep.DFG == nil || rep.Constprop == nil || rep.EPR == nil {
+				t.Fatalf("incomplete report: %+v", rep)
 			}
 			if len(out.Meta) == 0 {
 				t.Error("missing per-stage metadata")
@@ -94,10 +108,11 @@ func TestAnalyzeSelectedStagesAndDOT(t *testing.T) {
 	if code != http.StatusOK || !out.OK {
 		t.Fatalf("status=%d error=%q", code, out.Error)
 	}
-	if out.Report.Constprop == nil {
+	rep := decodeReport(t, out)
+	if rep.Constprop == nil {
 		t.Error("constprop stage missing from report")
 	}
-	if out.Report.SSA != nil {
+	if rep.SSA != nil {
 		t.Error("unrequested ssa stage present in report")
 	}
 	for _, target := range []string{"cfg", "dfg"} {
@@ -262,7 +277,7 @@ func TestAnalyzeExecStage(t *testing.T) {
 	if code != http.StatusOK || !out.OK {
 		t.Fatalf("exec stage failed: code=%d %+v", code, out)
 	}
-	ex := out.Report.Exec
+	ex := decodeReport(t, out).Exec
 	if ex == nil {
 		t.Fatal("response missing exec report")
 	}
@@ -291,14 +306,15 @@ func TestAnalyzeBytecodeSourceKind(t *testing.T) {
 	if code != http.StatusOK || !out.OK {
 		t.Fatalf("status=%d ok=%v error=%q", code, out.OK, out.Error)
 	}
-	if out.Report == nil || out.Report.Bytecode == nil {
-		t.Fatalf("report missing bytecode section: %+v", out.Report)
+	rep := decodeReport(t, out)
+	if rep.Bytecode == nil {
+		t.Fatalf("report missing bytecode section: %+v", rep)
 	}
-	if out.Report.Bytecode.Instrs == 0 || out.Report.Bytecode.Blocks == 0 {
-		t.Errorf("implausible bytecode report: %+v", out.Report.Bytecode)
+	if rep.Bytecode.Instrs == 0 || rep.Bytecode.Blocks == 0 {
+		t.Errorf("implausible bytecode report: %+v", rep.Bytecode)
 	}
-	if out.Report.CFG == nil || out.Report.DFG == nil {
-		t.Fatalf("recovered CFG must feed the normal stages: %+v", out.Report)
+	if rep.CFG == nil || rep.DFG == nil {
+		t.Fatalf("recovered CFG must feed the normal stages: %+v", rep)
 	}
 
 	code, out = postAnalyze(t, ts, `{"program":"read a;","source_kind":"wasm"}`)
@@ -310,5 +326,63 @@ func TestAnalyzeBytecodeSourceKind(t *testing.T) {
 	code, out = postAnalyze(t, ts, `{"program":"pushi nope","source_kind":"bytecode"}`)
 	if code != http.StatusUnprocessableEntity || out.OK {
 		t.Fatalf("bad assembly: status=%d ok=%v error=%q", code, out.OK, out.Error)
+	}
+}
+
+// TestStatusRule pins the one mapping from a routed answer to an HTTP
+// status, shared by every mode and both endpoints.
+func TestStatusRule(t *testing.T) {
+	live := context.Background()
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	report := json.RawMessage(`{"parse":{"stmts":1}}`)
+	cases := []struct {
+		name string
+		ctx  context.Context
+		res  wire.Result
+		err  error
+		code int
+	}{
+		{"routing error", live, wire.Result{}, errors.New("all replicas failed"), http.StatusBadGateway},
+		{"routing error, client gone", ended, wire.Result{}, context.Canceled, http.StatusRequestTimeout},
+		{"unprocessable", live, wire.Result{Error: "parse", Unprocessable: true}, nil, http.StatusUnprocessableEntity},
+		{"unprocessable, client gone", ended, wire.Result{Error: "parse", Unprocessable: true}, nil, http.StatusUnprocessableEntity},
+		{"out of budget", live, wire.Result{Error: "context deadline exceeded"}, nil, http.StatusGatewayTimeout},
+		{"failed, client gone", ended, wire.Result{Error: "context canceled"}, nil, http.StatusRequestTimeout},
+		{"empty report", live, wire.Result{OK: true, Key: "k"}, nil, http.StatusBadGateway},
+		{"ok", live, wire.Result{OK: true, Key: "k", Tier: "lru", Report: report}, nil, http.StatusOK},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			out, code := toHTTP(tc.ctx, tc.res, tc.err)
+			if code != tc.code {
+				t.Fatalf("status %d, want %d", code, tc.code)
+			}
+			if out.OK != (code == http.StatusOK) || out.OK == (out.Error != "") {
+				t.Fatalf("ok=%v error=%q under status %d", out.OK, out.Error, code)
+			}
+			if out.OK && (!bytes.Equal(out.Report, report) || out.Key != "k" || out.Tier != "lru") {
+				t.Fatalf("answer not carried verbatim: %+v", out)
+			}
+		})
+	}
+}
+
+// TestEngineDeadlineIs504: an in-process analysis that outlives its budget
+// is a gateway timeout, as it is behind the frontier, not the program's
+// fault.
+func TestEngineDeadlineIs504(t *testing.T) {
+	eng := pipeline.New(pipeline.Config{
+		StageHook: func(st pipeline.Stage, src string) {
+			if st == pipeline.StageParse {
+				time.Sleep(50 * time.Millisecond)
+			}
+		},
+	})
+	ts := httptest.NewServer(newMux(eng, serverOptions{Timeout: 10 * time.Millisecond}))
+	defer ts.Close()
+	code, out := postAnalyze(t, ts, reqBody(t, analyzeRequest{Program: "read a; print a;"}))
+	if code != http.StatusGatewayTimeout || out.OK {
+		t.Fatalf("status=%d ok=%v error=%q, want 504", code, out.OK, out.Error)
 	}
 }

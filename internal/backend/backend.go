@@ -25,11 +25,7 @@ func Handler(eng *pipeline.Engine) wire.Handler {
 		}
 		rr, err := eng.AnalyzeReport(ctx, req)
 		if err != nil {
-			// Distinguish "this program is at fault" (parse errors, stage
-			// panics — pointless to retry on a replica) from timeouts and
-			// cancellation, mirroring the HTTP layer's 422-vs-408 split.
-			unprocessable := !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled)
-			return wire.Result{OK: false, Error: err.Error(), Unprocessable: unprocessable}
+			return Failure(err)
 		}
 		res := wire.Result{
 			OK:     true,
@@ -49,6 +45,15 @@ func Handler(eng *pipeline.Engine) wire.Handler {
 		}
 		return res
 	}
+}
+
+// Failure is the Result for an analysis that failed with err. It marks
+// the program at fault (parse errors, stage panics — pointless to retry on
+// a replica) as Unprocessable, and leaves timeouts and cancellation
+// unmarked.
+func Failure(err error) wire.Result {
+	unprocessable := !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled)
+	return wire.Result{OK: false, Error: err.Error(), Unprocessable: unprocessable}
 }
 
 // StoreHandler adapts eng into a wire ServerOptions.StorePut hook: pushed

@@ -281,27 +281,34 @@ func TestSharedErrorRetriedOutsideGroup(t *testing.T) {
 // returned promptly, the loser is cancelled without being counted as a
 // served request or a backend error.
 func TestHedgingFirstResultWins(t *testing.T) {
-	slowAddr := startWireBackend(t, okHandler("compute", 500*time.Millisecond, `{"from":"slow"}`), nil)
-	fastAddr := startWireBackend(t, okHandler("store", 0, `{"from":"fast"}`), nil)
+	// Which backend owns a key depends on the ring hashes of their random
+	// ports, so both start fast and the owner of key-0 is made the
+	// straggler once the frontier is built.
+	var slowIdx atomic.Int32
+	slowIdx.Store(-1)
+	backend := func(idx int32) wire.Handler {
+		return func(ctx context.Context, item wire.Item) wire.Result {
+			if slowIdx.Load() == idx {
+				return okHandler("compute", 500*time.Millisecond, `{"from":"slow"}`)(ctx, item)
+			}
+			return okHandler("store", 0, `{"from":"fast"}`)(ctx, item)
+		}
+	}
+	addrs := []string{startWireBackend(t, backend(0), nil), startWireBackend(t, backend(1), nil)}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	f := New(ctx, Config{
-		Backends:       []string{slowAddr, fastAddr},
+		Backends:       addrs,
 		HealthInterval: time.Hour,
 		Hedge:          true,
 		HedgeDelay:     20 * time.Millisecond,
 	})
-	// Find a key whose primary is the slow backend.
-	key := ""
-	for i := 0; i < 1000; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if f.order(k)[0].addr == slowAddr {
-			key = k
-			break
-		}
-	}
-	if key == "" {
-		t.Fatal("no key routed to the slow backend")
+	const key = "key-0"
+	slow := f.order(key)[0].addr
+	if slow == addrs[1] {
+		slowIdx.Store(1)
+	} else {
+		slowIdx.Store(0)
 	}
 	start := time.Now()
 	res, err := f.Analyze(ctx, key, wire.Item{Program: key})
@@ -325,7 +332,7 @@ func TestHedgingFirstResultWins(t *testing.T) {
 		t.Fatalf("routedOK = %d, want 1 — the hedge loser must not be double-counted", n)
 	}
 	for _, b := range f.table().backends {
-		if b.addr == slowAddr && b.errs.Load() != 0 {
+		if b.addr == slow && b.errs.Load() != 0 {
 			t.Fatalf("cancelled hedge loser penalized the slow backend: errs=%d", b.errs.Load())
 		}
 	}
