@@ -102,8 +102,8 @@ func runBytecodeJSON(path string, repeats int) error {
 	}
 
 	ctx := context.Background()
-	ebc := pipeline.New(pipeline.Config{Workers: 1, DisableCache: true})
-	esrc := pipeline.New(pipeline.Config{Workers: 1, DisableCache: true})
+	ebc := pipeline.New(pipeline.Config{Workers: 1})
+	esrc := pipeline.New(pipeline.Config{Workers: 1})
 	bcReq := func(p prog) pipeline.Request {
 		return pipeline.Request{
 			Source:  p.asm,

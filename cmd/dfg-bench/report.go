@@ -12,9 +12,9 @@ import (
 )
 
 // eng is the process-wide analysis engine the experiments build their
-// inputs through — the same code path as cmd/dfg and cmd/dfg-serve.
-// Experiments that re-lower a source they already used (the fig1 running
-// example appears in several) get the cached CFG back.
+// inputs through — the same code path as cmd/dfg and cmd/dfg-serve. Every
+// call lowers its source afresh, so each experiment owns the graph it gets
+// back.
 var eng = pipeline.New(pipeline.Config{})
 
 // reporter accumulates a pass/fail verdict and provides table helpers.

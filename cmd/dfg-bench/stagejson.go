@@ -15,9 +15,9 @@ import (
 // Per-stage JSON timing: the machine-readable counterpart of the
 // BenchmarkStageCold suite, for producing BENCH_*.json records without
 // copying numbers out of `go test -bench` output by hand. It runs the same
-// corpus (10 Mixed(15) programs, all default stages) through a cache-
-// disabled engine and reports each stage's time from the engine's own
-// per-stage counters.
+// corpus (10 Mixed(15) programs, all default stages) through Analyze, which
+// computes every stage on every call, and reports each stage's time from
+// the engine's own per-stage counters.
 
 // stageJSONRecord is the emitted document.
 type stageJSONRecord struct {
@@ -40,7 +40,7 @@ func runStageJSON(path string, repeats int) error {
 	for i := range srcs {
 		srcs[i] = workload.Mixed(15, int64(i+1)).String()
 	}
-	e := pipeline.New(pipeline.Config{Workers: 1, DisableCache: true})
+	e := pipeline.New(pipeline.Config{Workers: 1})
 	ctx := context.Background()
 
 	// Warm-up pass: JIT-free Go doesn't need one, but the first pass pays

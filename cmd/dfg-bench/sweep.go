@@ -211,7 +211,7 @@ func runSweep(path string, repeats int) error {
 
 	batchPass := func(workers int) func() error {
 		return func() error {
-			e := pipeline.New(pipeline.Config{Workers: workers, IntraWorkers: 1, DisableCache: true})
+			e := pipeline.New(pipeline.Config{Workers: workers, IntraWorkers: 1})
 			var firstErr error
 			e.AnalyzeBatchStream(ctx, reqs, func(br pipeline.BatchResult) {
 				if br.Err != nil && firstErr == nil {
@@ -223,13 +223,13 @@ func runSweep(path string, repeats int) error {
 	}
 	intraPass := func(intra int) func() error {
 		return func() error {
-			e := pipeline.New(pipeline.Config{Workers: 1, IntraWorkers: intra, DisableCache: true})
+			e := pipeline.New(pipeline.Config{Workers: 1, IntraWorkers: intra})
 			_, err := e.Analyze(ctx, pipeline.Request{Source: intraSrc})
 			return err
 		}
 	}
 	serialBatchPass := func() error {
-		e := pipeline.New(pipeline.Config{Workers: 1, IntraWorkers: 1, DisableCache: true})
+		e := pipeline.New(pipeline.Config{Workers: 1, IntraWorkers: 1})
 		for _, r := range reqs {
 			if _, err := e.Analyze(ctx, r); err != nil {
 				return err

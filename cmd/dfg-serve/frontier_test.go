@@ -342,8 +342,8 @@ func TestStatszFrontierSurfaces(t *testing.T) {
 	}
 	// The worker's own snapshot exposes the store tier.
 	wsnap := w.eng.Snapshot()
-	if wsnap.Store == nil || wsnap.ReportCache == nil {
-		t.Fatalf("worker snapshot missing store/report-cache stats")
+	if wsnap.Store == nil {
+		t.Fatalf("worker snapshot missing store stats")
 	}
 	if wsnap.Store.Writes == 0 {
 		t.Fatalf("no store write recorded: %+v", wsnap.Store)

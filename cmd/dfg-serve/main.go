@@ -5,9 +5,9 @@
 // differ only in where items are answered:
 //
 // In-process (default): this process's engine answers every item through
-// the same wire handler dfg-worker runs, with stage artifacts memoized in
-// the content-addressed LRU; add -store to persist Reports in the on-disk
-// artifact store so warm traffic survives restarts.
+// the same wire handler dfg-worker runs, with finished Reports cached in
+// the content-addressed report LRU; add -store to persist them in the
+// on-disk artifact store so warm traffic survives restarts.
 //
 // Frontier (-backends): the process becomes the serving frontier of a
 // sharded deployment. Programs are consistent-hash routed over the wire
@@ -29,7 +29,7 @@
 //	                       "predicates": false, "dot": ["cfg"]}
 //	POST /analyze/batch   {"requests": [<analyze bodies>]}
 //	GET  /healthz         liveness probe
-//	GET  /statsz          per-stage, cache, store, and routing counters
+//	GET  /statsz          per-stage, report-cache, store, and routing counters
 //	GET  /debug/vars      expvar ("pipeline", plus "frontier" when sharded)
 //	GET  /admin/backends  current backend set (frontier mode only)
 //	POST /admin/backends  {"action":"add","name":"w4","addr":"host:port"} or
@@ -44,7 +44,6 @@
 //	-hedge-delay      pin the hedge delay (default 0 = adaptive, derived from observed p99)
 //	-store            artifact store dir for in-process mode (empty = memory only)
 //	-workers          engine worker-pool size (default GOMAXPROCS)
-//	-cache            stage-artifact cache capacity (default 1024)
 //	-timeout          per-request analysis timeout (default 10s)
 //	-maxbody          POST /analyze body limit in bytes (default 4 MiB; batch 16x)
 //	-health-interval  backend health-check cadence (default 2s)
@@ -76,7 +75,6 @@ var (
 	flagBackends = flag.String("backends", "", "comma-separated dfg-worker entries, \"addr\" or \"name=addr\"; empty = analyze in-process")
 	flagStore    = flag.String("store", "", "artifact store directory for in-process mode (empty = memory only)")
 	flagWorkers  = flag.Int("workers", 0, "engine worker-pool size (0 = GOMAXPROCS)")
-	flagCache    = flag.Int("cache", 1024, "stage-artifact cache capacity")
 	flagTimeout  = flag.Duration("timeout", 10*time.Second, "per-request analysis timeout")
 	flagMaxBody  = flag.Int64("maxbody", 4<<20, "POST /analyze body limit in bytes")
 	flagHealth   = flag.Duration("health-interval", 2*time.Second, "backend health-check cadence")
@@ -99,7 +97,6 @@ func main() {
 	}
 	eng := pipeline.New(pipeline.Config{
 		Workers:        *flagWorkers,
-		CacheEntries:   *flagCache,
 		DefaultTimeout: *flagTimeout,
 		Store:          st,
 	})
@@ -146,7 +143,7 @@ func main() {
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 
-	log.Printf("dfg-serve: listening on %s (workers=%d cache=%d)", *flagAddr, eng.Workers(), *flagCache)
+	log.Printf("dfg-serve: listening on %s (workers=%d)", *flagAddr, eng.Workers())
 	if err := serveUntil(ctx, srv, nil, 30*time.Second); err != nil {
 		log.Fatalf("dfg-serve: %v", err)
 	}

@@ -171,7 +171,8 @@ func TestStagePanicReturns422(t *testing.T) {
 
 func TestHealthzStatszDebugVars(t *testing.T) {
 	ts := newTestServer(t)
-	// Generate one miss and one hit so /statsz has signal.
+	// Generate one computed answer and one report-LRU hit so /statsz has
+	// signal.
 	body := reqBody(t, analyzeRequest{Program: "read a; print a + 2;"})
 	postAnalyze(t, ts, body)
 	postAnalyze(t, ts, body)
@@ -192,8 +193,11 @@ func TestHealthzStatszDebugVars(t *testing.T) {
 	}
 	resp.Body.Close()
 	st := snap.Stages[pipeline.StageCFG]
-	if st.Misses < 1 || st.Hits < 1 {
-		t.Errorf("/statsz: cfg stage hits=%d misses=%d, want >=1 each", st.Hits, st.Misses)
+	if st.Runs < 1 {
+		t.Errorf("/statsz: cfg stage runs=%d, want >=1", st.Runs)
+	}
+	if snap.ReportCache.LRUHits < 1 {
+		t.Errorf("/statsz: report_cache.lru_hits=%d, want >=1", snap.ReportCache.LRUHits)
 	}
 	if st.TotalNS <= 0 {
 		t.Errorf("/statsz: cfg stage reports no latency")
@@ -228,6 +232,27 @@ func TestHealthzStatszDebugVars(t *testing.T) {
 
 // TestPprofIsOptIn: the profiling endpoints exist only when mounted (the
 // -pprof flag); the default mux must not expose them.
+// TestBareModeCachesReports: with no -store and no -backends, a repeated
+// /analyze is answered from the engine's report LRU with the same bytes.
+func TestBareModeCachesReports(t *testing.T) {
+	ts := newTestServer(t)
+	body := reqBody(t, analyzeRequest{Program: "read a; b := a * 2; print b;"})
+	code, first := postAnalyze(t, ts, body)
+	if code != http.StatusOK || first.Tier != string(pipeline.TierCompute) {
+		t.Fatalf("first answer: status=%d tier=%q, want 200 compute", code, first.Tier)
+	}
+	code, again := postAnalyze(t, ts, body)
+	if code != http.StatusOK || again.Tier != string(pipeline.TierLRU) {
+		t.Fatalf("repeat answer: status=%d tier=%q, want 200 lru", code, again.Tier)
+	}
+	if again.Key != first.Key || !bytes.Equal(again.Report, first.Report) {
+		t.Fatalf("repeat answer differs:\n%s\n%s", first.Report, again.Report)
+	}
+	if m, ok := again.Meta["report"]; !ok || !m.CacheHit || len(again.Meta) != 1 {
+		t.Errorf("repeat answer meta = %+v, want one cache-hit report entry", again.Meta)
+	}
+}
+
 func TestPprofIsOptIn(t *testing.T) {
 	ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/debug/pprof/")

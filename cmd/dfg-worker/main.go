@@ -12,11 +12,10 @@
 //
 //	-addr             listen address (default :8451)
 //	-store            artifact store directory (default dfg-store; empty
-//	                  disables persistence, leaving only in-memory caches)
+//	                  disables persistence, leaving only the report LRU)
 //	-store-max-bytes  store size bound; eviction compacts by access time
 //	                  when exceeded (default 0 = unbounded)
 //	-workers  per-batch item concurrency and engine pool size (default GOMAXPROCS)
-//	-cache    stage-artifact LRU capacity (default 1024)
 //	-reports  report LRU capacity in front of the store (default 512)
 //	-timeout  per-item analysis timeout cap (default 30s)
 //	-nosync   skip fsync on store writes (benchmarks only)
@@ -47,11 +46,10 @@ var (
 	flagAddr     = flag.String("addr", ":8451", "listen address")
 	flagStore    = flag.String("store", "dfg-store", "artifact store directory (empty = no persistence)")
 	flagStoreMax = flag.Int64("store-max-bytes", 0, "artifact store size bound in bytes (0 = unbounded)")
-	flagWorkers = flag.Int("workers", 0, "per-batch item concurrency (0 = GOMAXPROCS)")
-	flagCache   = flag.Int("cache", 1024, "stage-artifact cache capacity")
-	flagReports = flag.Int("reports", 512, "report cache capacity (in front of the store)")
-	flagTimeout = flag.Duration("timeout", 30*time.Second, "per-item analysis timeout")
-	flagNoSync  = flag.Bool("nosync", false, "skip fsync on store writes (benchmarks only)")
+	flagWorkers  = flag.Int("workers", 0, "per-batch item concurrency (0 = GOMAXPROCS)")
+	flagReports  = flag.Int("reports", 512, "report cache capacity (in front of the store)")
+	flagTimeout  = flag.Duration("timeout", 30*time.Second, "per-item analysis timeout")
+	flagNoSync   = flag.Bool("nosync", false, "skip fsync on store writes (benchmarks only)")
 )
 
 func main() {
@@ -75,7 +73,6 @@ func main() {
 	}
 	eng := pipeline.New(pipeline.Config{
 		Workers:            workers,
-		CacheEntries:       *flagCache,
 		ReportCacheEntries: *flagReports,
 		DefaultTimeout:     *flagTimeout,
 		Store:              st,

@@ -114,10 +114,8 @@ type options struct {
 	pred      bool
 }
 
-// eng is the process-wide analysis engine. The CLI makes one request per
-// invocation, so the cache matters only for tests that drive runTool
-// repeatedly — but sharing the engine keeps the CLI on the same code path
-// as dfg-serve and dfg-bench.
+// eng is the process-wide analysis engine. Sharing it keeps the CLI on the
+// same code path as dfg-serve and dfg-bench.
 var eng = pipeline.New(pipeline.Config{})
 
 func main() {

@@ -15,7 +15,7 @@ import (
 )
 
 // Handler adapts eng into a wire.Handler: one wire Item in, one Result out,
-// through the engine's two-tier report cache (AnalyzeReport). Results carry
+// through the engine's report cache (AnalyzeReport). Results carry
 // the canonical Report JSON bytes; the frontier forwards them verbatim.
 func Handler(eng *pipeline.Engine) wire.Handler {
 	return func(ctx context.Context, item wire.Item) wire.Result {
@@ -36,7 +36,7 @@ func Handler(eng *pipeline.Engine) wire.Handler {
 		}
 		if rr.Tier == pipeline.TierCompute {
 			for st, info := range rr.Stages {
-				res.Meta[string(st)] = wire.Meta{CacheHit: info.CacheHit, NS: info.Duration.Nanoseconds()}
+				res.Meta[string(st)] = wire.Meta{NS: info.Duration.Nanoseconds()}
 			}
 		} else {
 			// Cache tiers skip the stages entirely; report that as one

@@ -104,8 +104,9 @@ func (a *Analysis) liveEdges() []cfg.EdgeID {
 
 // AnalyzeExpr computes the full EPR analysis for one expression. It is a
 // singleton view over the batched solver; the scalar per-candidate solvers
-// (anticip.CFG, anticip.DFG, availability, dfgAV) remain as the reference
-// implementations the batched path is differentially tested against.
+// (anticip.CFG, anticip.DFG, and the test-only availability and dfgAV in
+// scalarref_test.go) remain as the reference implementations the batched
+// path is differentially tested against.
 func AnalyzeExpr(g *cfg.Graph, e ast.Expr, driver Driver, d *dfg.Graph) (*Analysis, error) {
 	b, err := AnalyzeBatch(g, []ast.Expr{e}, driver, d)
 	if err != nil {
@@ -114,107 +115,6 @@ func AnalyzeExpr(g *cfg.Graph, e ast.Expr, driver Driver, d *dfg.Graph) (*Analys
 	a := b.Analysis(0)
 	a.Cost = b.Cost
 	return a, nil
-}
-
-// analyzeExprScalar is the pre-batching implementation, retained as the
-// differential reference for the batched solvers.
-func analyzeExprScalar(g *cfg.Graph, e ast.Expr, driver Driver, d *dfg.Graph) (*Analysis, error) {
-	a := &Analysis{G: g, Expr: e}
-
-	switch driver {
-	case DriverDFG:
-		if d == nil {
-			var err error
-			d, err = dfg.Build(g)
-			if err != nil {
-				return nil, err
-			}
-		}
-		r := anticip.DFG(d, e)
-		a.ANT, a.PAN = r.ANT, r.PAN
-		a.Cost.Add(r.Cost)
-		// AV and PAV on the dependence flow graph too (Fig 5(b): "AV is a
-		// forward problem"). Edges not covered by the variables' dependence
-		// flow read false, which is safe: every edge EPR's decision rules
-		// consult lies where the operands are live, hence covered.
-		a.AV = dfgAV(d, e, true, &a.Cost)
-		a.PAV = dfgAV(d, e, false, &a.Cost)
-	default:
-		r := anticip.CFG(g, e)
-		a.ANT, a.PAN = r.ANT, r.PAN
-		a.Cost.Add(r.Cost)
-		a.AV = availability(g, e, true, &a.Cost)
-		a.PAV = availability(g, e, false, &a.Cost)
-	}
-
-	a.placeAndDelete()
-	return a, nil
-}
-
-// availability solves AV (total=true) or PAV (total=false) per edge: the
-// expression has been computed on every/some path from start with no
-// subsequent assignment to its variables.
-func availability(g *cfg.Graph, e ast.Expr, total bool, cost *dataflow.Counter) []bool {
-	av := make([]bool, g.NumEdges())
-	if total {
-		for _, eid := range g.LiveEdges() {
-			av[eid] = true // GFP for AV, LFP for PAV
-		}
-	}
-	av[g.OutEdges(g.Start)[0]] = false
-
-	wl := dataflow.NewWorklist()
-	for _, nd := range g.Nodes {
-		wl.Push(int(nd.ID))
-	}
-	for {
-		ni, ok := wl.Pop()
-		if !ok {
-			break
-		}
-		cost.Visits++
-		n := cfg.NodeID(ni)
-		nd := g.Node(n)
-		if nd.Kind == cfg.KindStart {
-			continue // boundary
-		}
-
-		in := total
-		ins := g.InEdges(n)
-		if len(ins) == 0 {
-			in = false
-		}
-		for _, eid := range ins {
-			cost.Joins++
-			if total {
-				in = in && av[eid]
-			} else {
-				if eid == ins[0] {
-					in = av[eid]
-				} else {
-					in = in || av[eid]
-				}
-			}
-		}
-
-		cost.Transfers++
-		out := in
-		if anticip.Kills(g, n, e) {
-			out = false
-			// A node that computes e and then kills one of its variables
-			// (x := x+1) does not make e available.
-		} else if anticip.Computes(g, n, e) {
-			out = true
-		}
-
-		for _, eid := range g.OutEdges(n) {
-			if av[eid] != out {
-				av[eid] = out
-				wl.Push(int(g.Edge(eid).Dst))
-			}
-		}
-	}
-	return av
 }
 
 // placeAndDelete derives INSERT and DELETE from ANT and AV using the

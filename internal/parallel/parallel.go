@@ -59,7 +59,10 @@ func Do(items, workers int, fn func(worker, item int)) {
 	var cursor atomic.Int64
 	var panicked atomic.Value // first panic value, re-raised below
 	var wg sync.WaitGroup
-	run := func(w int) {
+	next := func() int { return int(cursor.Add(1)) - 1 }
+	// run executes item i on worker w, then keeps taking items from the
+	// cursor until it is exhausted.
+	run := func(w, i int) {
 		defer wg.Done()
 		defer func() {
 			if r := recover(); r != nil {
@@ -69,23 +72,21 @@ func Do(items, workers int, fn func(worker, item int)) {
 				cursor.Store(int64(items))
 			}
 		}()
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= items {
-				return
-			}
+		for ; i < items; i = next() {
 			fn(w, i)
 		}
 	}
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go run(w)
-	}
 	// The caller participates as worker 0: at workers==n, n-1 goroutines
 	// are spawned, and a Do from an already-parallel context does not
-	// leave its own thread idle.
-	wg.Add(1)
-	run(0)
+	// leave its own thread idle. Item 0 is reserved for it before any
+	// goroutine starts, so the caller always does work even when the
+	// spawned workers could drain cheap items first.
+	cursor.Store(1)
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go func(w int) { run(w, next()) }(w)
+	}
+	run(0, 0)
 	wg.Wait()
 	if r := panicked.Load(); r != nil {
 		panic(r.(recovered).v)

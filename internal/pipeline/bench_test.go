@@ -19,8 +19,8 @@ func benchCorpus() []Request {
 }
 
 // BenchmarkPipelineBatch measures engine throughput (programs/sec) across
-// the axes recorded in BENCH_pipeline.json: serial cold path vs worker-pool
-// batches, cold vs warm cache, 1 vs GOMAXPROCS workers.
+// the axes recorded in BENCH_pipeline.json: serial vs worker-pool batches,
+// 1 vs GOMAXPROCS workers, and computed vs report-LRU answers.
 func BenchmarkPipelineBatch(b *testing.B) {
 	reqs := benchCorpus()
 	ctx := context.Background()
@@ -32,7 +32,7 @@ func BenchmarkPipelineBatch(b *testing.B) {
 		// The pre-engine baseline: every program recomputed from scratch,
 		// one at a time.
 		for i := 0; i < b.N; i++ {
-			e := New(Config{Workers: 1, DisableCache: true})
+			e := New(Config{Workers: 1})
 			for _, r := range reqs {
 				if _, err := e.Analyze(ctx, r); err != nil {
 					b.Fatal(err)
@@ -43,13 +43,13 @@ func BenchmarkPipelineBatch(b *testing.B) {
 	})
 
 	b.Run("serial-cold-retained", func(b *testing.B) {
-		// Like serial-cold but keeping every Result alive, the way
-		// AnalyzeBatch must (it returns all results). This is the fair
+		// Like serial-cold but keeping every Result alive, the way the
+		// batch-cold rows do (they collect all results). This is the fair
 		// baseline for batch-cold-1worker: profiling showed the apparent
 		// batch "dispatch overhead" was entirely GC rescanning the
 		// retained results, not the worker-pool machinery.
 		for i := 0; i < b.N; i++ {
-			e := New(Config{Workers: 1, DisableCache: true})
+			e := New(Config{Workers: 1})
 			results := make([]*Result, len(reqs))
 			for j, r := range reqs {
 				res, err := e.Analyze(ctx, r)
@@ -68,9 +68,9 @@ func BenchmarkPipelineBatch(b *testing.B) {
 		// the streaming caller's shape. Nothing is retained, so this runs
 		// against the serial-cold baseline, not serial-cold-retained — the
 		// gap between this row and batch-cold-1worker is the GC cost of
-		// AnalyzeBatch's returned slice keeping all 100 Results alive.
+		// keeping all 100 Results alive.
 		for i := 0; i < b.N; i++ {
-			e := New(Config{Workers: 1, DisableCache: true})
+			e := New(Config{Workers: 1})
 			e.AnalyzeBatchStream(ctx, reqs, func(br BatchResult) {
 				if br.Err != nil {
 					b.Fatal(br.Err)
@@ -82,8 +82,8 @@ func BenchmarkPipelineBatch(b *testing.B) {
 
 	b.Run("batch-cold-1worker", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			e := New(Config{Workers: 1, DisableCache: true})
-			for _, br := range e.AnalyzeBatch(ctx, reqs) {
+			e := New(Config{Workers: 1})
+			for _, br := range collectBatch(ctx, b, e, reqs) {
 				if br.Err != nil {
 					b.Fatal(br.Err)
 				}
@@ -94,8 +94,8 @@ func BenchmarkPipelineBatch(b *testing.B) {
 
 	b.Run("batch-cold-maxworkers", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			e := New(Config{DisableCache: true})
-			for _, br := range e.AnalyzeBatch(ctx, reqs) {
+			e := New(Config{})
+			for _, br := range collectBatch(ctx, b, e, reqs) {
 				if br.Err != nil {
 					b.Fatal(br.Err)
 				}
@@ -104,14 +104,24 @@ func BenchmarkPipelineBatch(b *testing.B) {
 		progsPerSec(b)
 	})
 
-	b.Run("batch-warm-maxworkers", func(b *testing.B) {
+	b.Run("report-warm", func(b *testing.B) {
+		// A second AnalyzeReport pass over the corpus: every answer is a
+		// report-LRU hit, the engine's only in-memory cache.
 		e := New(Config{})
-		e.AnalyzeBatch(ctx, reqs) // warm the cache
+		for _, r := range reqs {
+			if _, err := e.AnalyzeReport(ctx, r); err != nil {
+				b.Fatal(err)
+			}
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, br := range e.AnalyzeBatch(ctx, reqs) {
-				if br.Err != nil {
-					b.Fatal(br.Err)
+			for _, r := range reqs {
+				rr, err := e.AnalyzeReport(ctx, r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rr.Tier != TierLRU {
+					b.Fatalf("warm pass answered from %s, want lru", rr.Tier)
 				}
 			}
 		}
@@ -121,8 +131,8 @@ func BenchmarkPipelineBatch(b *testing.B) {
 	b.Logf("GOMAXPROCS=%d", runtime.GOMAXPROCS(0))
 }
 
-// BenchmarkStageCold measures each pipeline stage in isolation on a cold
-// cache: dependencies are precomputed outside the timed region, so a
+// BenchmarkStageCold measures each pipeline stage in isolation:
+// dependencies are precomputed outside the timed region, so a
 // regression in one stage shows up in exactly one sub-benchmark. The corpus
 // is a slice of the same Mixed(15) family BenchmarkPipelineBatch runs.
 func BenchmarkStageCold(b *testing.B) {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -127,17 +128,17 @@ func TestReportKeySeparatesSourceKinds(t *testing.T) {
 	}
 }
 
+// TestAnalyzeBytecodeCachesByKind: a repeated bytecode request is answered
+// from the report LRU with the computed bytes.
 func TestAnalyzeBytecodeCachesByKind(t *testing.T) {
 	e := New(Config{})
-	asm := bytecodeAsm(t)
-	first := mustAnalyze(t, e, Request{Source: asm, Options: Options{SourceKind: KindBytecode}})
-	second := mustAnalyze(t, e, Request{Source: asm, Options: Options{SourceKind: KindBytecode}})
-	if first.Report().CFG.Nodes != second.Report().CFG.Nodes {
-		t.Fatal("cached bytecode analysis diverged")
+	req := Request{Source: bytecodeAsm(t), Options: Options{SourceKind: KindBytecode}}
+	first := mustReport(t, e, req)
+	second := mustReport(t, e, req)
+	if first.Tier != TierCompute || second.Tier != TierLRU {
+		t.Fatalf("tiers = %s, %s; want compute, lru", first.Tier, second.Tier)
 	}
-	for st, info := range second.Stages {
-		if !info.CacheHit {
-			t.Errorf("stage %s missed the cache on an identical request", st)
-		}
+	if !bytes.Equal(first.Raw, second.Raw) {
+		t.Fatal("cached bytecode report diverged from the computed one")
 	}
 }

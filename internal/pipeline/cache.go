@@ -5,21 +5,19 @@ import (
 	"sync"
 )
 
-// lruCache is a bounded, mutex-guarded LRU map from content-addressed stage
-// keys to stage artifacts. Artifacts are stored by reference and shared
-// between requests, which is safe because stage results are immutable by
-// contract (see the package comment).
+// lruCache is the bounded, mutex-guarded LRU map behind AnalyzeReport's
+// in-memory tier: report keys to canonical Report JSON bytes. The bytes are
+// shared between callers and never modified.
 type lruCache struct {
-	mu        sync.Mutex
-	max       int
-	ll        *list.List // front = most recently used
-	items     map[string]*list.Element
-	evictions int64
+	mu    sync.Mutex
+	max   int
+	ll    *list.List // front = most recently used
+	items map[string]*list.Element
 }
 
 type lruEntry struct {
 	key string
-	val any
+	val []byte
 }
 
 func newLRU(max int) *lruCache {
@@ -29,7 +27,7 @@ func newLRU(max int) *lruCache {
 	return &lruCache{max: max, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-func (c *lruCache) get(key string) (any, bool) {
+func (c *lruCache) get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -40,7 +38,7 @@ func (c *lruCache) get(key string) (any, bool) {
 	return el.Value.(*lruEntry).val, true
 }
 
-func (c *lruCache) put(key string, val any) {
+func (c *lruCache) put(key string, val []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -53,22 +51,11 @@ func (c *lruCache) put(key string, val any) {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*lruEntry).key)
-		c.evictions++
 	}
 }
 
-// contains reports presence without promoting the entry — the batch
-// scheduler's warm/cold classification peeks at hundreds of keys and must
-// not reorder the eviction queue while doing so.
-func (c *lruCache) contains(key string) bool {
+func (c *lruCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.items[key]
-	return ok
-}
-
-func (c *lruCache) stats() (entries int, evictions int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len(), c.evictions
+	return c.ll.Len()
 }

@@ -24,20 +24,17 @@ func TestExecStage(t *testing.T) {
 		t.Fatalf("report should carry the exec artifact: %+v", rep.Exec)
 	}
 
-	// Same source and inputs: the exec artifact is a cache hit.
-	res2 := mustAnalyze(t, e, req)
-	if !res2.Stages[StageExec].CacheHit {
-		t.Fatal("identical exec request should hit the cache")
+	// Same source and inputs: the exec report is an LRU hit. Different
+	// inputs: a different report, computed afresh.
+	mustReport(t, e, req)
+	if rr := mustReport(t, e, req); rr.Tier != TierLRU {
+		t.Fatalf("identical exec request answered from %s, want lru", rr.Tier)
 	}
-	// Different inputs: exec recomputes but the shared CFG stays cached.
 	req.Options.ExecInputs = []int64{7}
+	if rr := mustReport(t, e, req); rr.Tier != TierCompute {
+		t.Fatalf("exec request with new inputs answered from %s, want compute", rr.Tier)
+	}
 	res3 := mustAnalyze(t, e, req)
-	if res3.Stages[StageExec].CacheHit {
-		t.Fatal("exec must recompute for a different input vector")
-	}
-	if !res3.Stages[StageCFG].CacheHit {
-		t.Fatal("cfg stage must not be split by exec inputs")
-	}
 	if got := res3.Exec.CFGOutput; len(got) != 1 || got[0] != "28" {
 		t.Fatalf("cfg output %v, want [28]", got)
 	}

@@ -31,7 +31,7 @@ func FuzzEngineAnalyze(f *testing.F) {
 			}
 		}
 	}
-	eng := New(Config{CacheEntries: 256})
+	eng := New(Config{})
 	f.Fuzz(func(t *testing.T, src string) {
 		res, err := eng.Analyze(context.Background(), Request{
 			Source:  src,

@@ -57,7 +57,7 @@ func goldenInputs(t *testing.T) [][2]string {
 //
 //	go test ./internal/pipeline -run TestGoldenReports -update
 func TestGoldenReports(t *testing.T) {
-	eng := New(Config{Workers: 1, DisableCache: true})
+	eng := New(Config{Workers: 1})
 	ctx := context.Background()
 	for _, in := range goldenInputs(t) {
 		name, src := in[0], in[1]

@@ -13,13 +13,12 @@ import (
 // stageCounters accumulates per-stage observability counters. All fields
 // are atomics so stage execution never serializes on metrics.
 type stageCounters struct {
-	hits       atomic.Int64
-	misses     atomic.Int64
+	runs       atomic.Int64
 	errors     atomic.Int64
 	panics     atomic.Int64
-	nanos      atomic.Int64 // total compute time across misses
-	allocBytes atomic.Int64 // heap bytes allocated across misses
-	allocObjs  atomic.Int64 // heap objects allocated across misses
+	nanos      atomic.Int64 // total compute time across runs
+	allocBytes atomic.Int64 // heap bytes allocated across runs
+	allocObjs  atomic.Int64 // heap objects allocated across runs
 }
 
 // heapAllocs reads the process-wide cumulative heap allocation counters.
@@ -27,7 +26,7 @@ type stageCounters struct {
 // concurrent workers, allocations from an overlapping stage land in
 // whichever delta is open; and the runtime only advances the counters
 // when an allocation span is refilled, so a single small stage's delta
-// can read zero. Totals and averages over many misses converge, which is
+// can read zero. Totals and averages over many runs converge, which is
 // what the snapshot needs to flag an allocation regression without a
 // pprof run. (runtime.ReadMemStats would be exact but stops the world on
 // every call — too heavy for the per-stage hot path.)
@@ -45,15 +44,12 @@ func heapAllocs() (bytes, objects int64) {
 type metrics struct {
 	requests atomic.Int64
 	batches  atomic.Int64
-	// Warm/cold lane classification of batch slots (see analyzeBatchCore).
-	batchWarm atomic.Int64
-	batchCold atomic.Int64
-	stages    map[Stage]*stageCounters
-	epr       eprCounters
+	stages   map[Stage]*stageCounters
+	epr      eprCounters
 
-	// Two-tier report cache counters (AnalyzeReport).
+	// Report cache counters (AnalyzeReport).
 	reportHits     atomic.Int64 // in-memory report-LRU hits
-	reportMisses   atomic.Int64 // LRU misses (store tier consulted next)
+	reportMisses   atomic.Int64 // LRU misses (the store, if any, then a compute)
 	storePutErrors atomic.Int64 // store write-through failures (analysis still served)
 }
 
@@ -100,26 +96,16 @@ func (m *metrics) stage(s Stage) *stageCounters { return m.stages[s] }
 
 // StageStats is the exported snapshot of one stage's counters.
 type StageStats struct {
-	Hits     int64   `json:"hits"`
-	Misses   int64   `json:"misses"`
-	Errors   int64   `json:"errors"`
-	Panics   int64   `json:"panics"`
-	TotalNS  int64   `json:"total_ns"` // compute time summed over misses
-	AvgNS    int64   `json:"avg_ns"`   // TotalNS / Misses
-	HitRatio float64 `json:"hit_ratio"`
-	// Heap allocation attributed to this stage's misses (see heapAllocs
-	// for the attribution caveat under concurrency).
+	Runs    int64 `json:"runs"`
+	Errors  int64 `json:"errors"`
+	Panics  int64 `json:"panics"`
+	TotalNS int64 `json:"total_ns"` // compute time summed over runs
+	AvgNS   int64 `json:"avg_ns"`   // TotalNS / Runs
+	// Heap allocation attributed to this stage's runs (see heapAllocs for
+	// the attribution caveat under concurrency).
 	AllocBytes    int64 `json:"alloc_bytes"`
 	AllocObjects  int64 `json:"alloc_objects"`
-	AvgAllocBytes int64 `json:"avg_alloc_bytes"` // AllocBytes / Misses
-}
-
-// CacheStats is the exported snapshot of the artifact cache.
-type CacheStats struct {
-	Entries   int   `json:"entries"`
-	Capacity  int   `json:"capacity"`
-	Evictions int64 `json:"evictions"`
-	Disabled  bool  `json:"disabled"`
+	AvgAllocBytes int64 `json:"avg_alloc_bytes"` // AllocBytes / Runs
 }
 
 // EPRStats is the exported snapshot of the EPR solver counters.
@@ -131,8 +117,9 @@ type EPRStats struct {
 	MaxCandidates int64 `json:"max_candidates"`
 }
 
-// ReportCacheStats is the exported snapshot of the two-tier report cache:
-// the in-memory LRU in front of the persistent store (AnalyzeReport).
+// ReportCacheStats is the exported snapshot of AnalyzeReport's in-memory
+// report LRU. A miss goes on to the persistent store when one is
+// configured, and to a compute otherwise.
 type ReportCacheStats struct {
 	LRUHits   int64 `json:"lru_hits"`
 	LRUMisses int64 `json:"lru_misses"`
@@ -146,18 +133,15 @@ type ReportCacheStats struct {
 type Snapshot struct {
 	Requests   int64 `json:"requests"`
 	Batches    int64 `json:"batches"`
-	BatchWarm  int64 `json:"batch_warm"` // batch slots classified cache-warm
-	BatchCold  int64 `json:"batch_cold"` // batch slots classified cache-cold
 	GOMAXPROCS int   `json:"gomaxprocs"`
 	NumCPU     int   `json:"num_cpu"`
 
-	Stages map[Stage]StageStats `json:"stages"`
-	Cache    CacheStats           `json:"cache"`
-	EPR      EPRStats             `json:"epr"`
-	// ReportCache and Store appear only on engines configured with a
-	// persistent store (cmd/dfg-worker, store-backed dfg-serve).
-	ReportCache *ReportCacheStats `json:"report_cache,omitempty"`
-	Store       *store.Stats      `json:"store,omitempty"`
+	Stages      map[Stage]StageStats `json:"stages"`
+	EPR         EPRStats             `json:"epr"`
+	ReportCache ReportCacheStats     `json:"report_cache"`
+	// Store appears only on engines configured with a persistent store
+	// (cmd/dfg-worker, store-backed dfg-serve).
+	Store *store.Stats `json:"store,omitempty"`
 }
 
 // Snapshot returns a consistent-enough copy of the engine's counters.
@@ -165,8 +149,6 @@ func (e *Engine) Snapshot() Snapshot {
 	s := Snapshot{
 		Requests:   e.metrics.requests.Load(),
 		Batches:    e.metrics.batches.Load(),
-		BatchWarm:  e.metrics.batchWarm.Load(),
-		BatchCold:  e.metrics.batchCold.Load(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Stages:     make(map[Stage]StageStats, len(stageOrder)),
@@ -174,38 +156,25 @@ func (e *Engine) Snapshot() Snapshot {
 	for _, st := range stageOrder {
 		c := e.metrics.stage(st)
 		ss := StageStats{
-			Hits:         c.hits.Load(),
-			Misses:       c.misses.Load(),
+			Runs:         c.runs.Load(),
 			Errors:       c.errors.Load(),
 			Panics:       c.panics.Load(),
 			TotalNS:      c.nanos.Load(),
 			AllocBytes:   c.allocBytes.Load(),
 			AllocObjects: c.allocObjs.Load(),
 		}
-		if ss.Misses > 0 {
-			ss.AvgNS = ss.TotalNS / ss.Misses
-			ss.AvgAllocBytes = ss.AllocBytes / ss.Misses
-		}
-		if total := ss.Hits + ss.Misses; total > 0 {
-			ss.HitRatio = float64(ss.Hits) / float64(total)
+		if ss.Runs > 0 {
+			ss.AvgNS = ss.TotalNS / ss.Runs
+			ss.AvgAllocBytes = ss.AllocBytes / ss.Runs
 		}
 		s.Stages[st] = ss
 	}
-	if e.cache != nil {
-		entries, evictions := e.cache.stats()
-		s.Cache = CacheStats{Entries: entries, Capacity: e.cfg.CacheEntries, Evictions: evictions}
-	} else {
-		s.Cache = CacheStats{Disabled: true}
-	}
-	if e.reportLRU != nil {
-		entries, _ := e.reportLRU.stats()
-		s.ReportCache = &ReportCacheStats{
-			LRUHits:   e.metrics.reportHits.Load(),
-			LRUMisses: e.metrics.reportMisses.Load(),
-			Entries:   entries,
-			Capacity:  e.cfg.ReportCacheEntries,
-			PutErrors: e.metrics.storePutErrors.Load(),
-		}
+	s.ReportCache = ReportCacheStats{
+		LRUHits:   e.metrics.reportHits.Load(),
+		LRUMisses: e.metrics.reportMisses.Load(),
+		Entries:   e.reportLRU.len(),
+		Capacity:  e.cfg.ReportCacheEntries,
+		PutErrors: e.metrics.storePutErrors.Load(),
 	}
 	if e.cfg.Store != nil {
 		st := e.cfg.Store.Stats()

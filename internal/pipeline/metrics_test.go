@@ -13,7 +13,7 @@ import (
 // one tiny program can legitimately read zero; over a corpus the totals
 // must be positive and the averages populated.
 func TestStageAllocCounters(t *testing.T) {
-	e := New(Config{Workers: 1, DisableCache: true})
+	e := New(Config{Workers: 1})
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
 		if _, err := e.Analyze(ctx, Request{Source: workload.Mixed(15, int64(i+1)).String()}); err != nil {
@@ -27,9 +27,9 @@ func TestStageAllocCounters(t *testing.T) {
 			t.Errorf("stage %s: negative alloc counters (%d bytes, %d objects)",
 				st, ss.AllocBytes, ss.AllocObjects)
 		}
-		if ss.Misses > 0 && ss.AvgAllocBytes != ss.AllocBytes/ss.Misses {
+		if ss.Runs > 0 && ss.AvgAllocBytes != ss.AllocBytes/ss.Runs {
 			t.Errorf("stage %s: avg_alloc_bytes=%d, want %d",
-				st, ss.AvgAllocBytes, ss.AllocBytes/ss.Misses)
+				st, ss.AvgAllocBytes, ss.AllocBytes/ss.Runs)
 		}
 		total += ss.AllocBytes
 	}
@@ -45,7 +45,7 @@ func TestStageAllocCounters(t *testing.T) {
 // redundancies (EPR edits only for a strict saving), one of them deeper
 // than the round cap allows.
 func TestEPRSnapshotCounters(t *testing.T) {
-	e := New(Config{Workers: 1, DisableCache: true})
+	e := New(Config{Workers: 1})
 	ctx := context.Background()
 	srcs := []string{workload.NestedSum(12).String()}
 	for i := 0; i < 4; i++ {

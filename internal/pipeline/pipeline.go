@@ -1,10 +1,12 @@
 // Package pipeline wraps the repository's analysis packages behind a single
-// staged engine. An Engine memoizes per-program stage results in a bounded,
-// content-addressed cache, fans batches of requests across a worker pool,
-// and exposes per-stage hit/miss/latency counters. The CLI (cmd/dfg), the
-// bench harness (cmd/dfg-bench), and the HTTP service (cmd/dfg-serve) all
-// route through it, so there is exactly one code path from source text to
-// analysis results.
+// staged engine. An Engine runs the stages of one request, caches finished
+// Reports (as canonical JSON bytes) in a bounded, content-addressed LRU with
+// an optional persistent store behind it, fans batches of requests across a
+// worker pool, and exposes per-stage run/latency/allocation counters. The
+// CLI (cmd/dfg), the bench harness (cmd/dfg-bench), the worker
+// (cmd/dfg-worker) and the HTTP service (cmd/dfg-serve) all route through
+// it, so there is exactly one code path from source text to analysis
+// results.
 //
 // Stages form a fixed DAG:
 //
@@ -17,9 +19,10 @@
 // differential execution oracle of internal/oracle — is on-demand only:
 // it is excluded from AllStages because its artifact depends on the
 // request's input vector, not on the program alone. Every stage result is
-// immutable once computed: downstream consumers that need to transform a
-// graph (constprop.Apply, epr.Apply) clone it first, which is what makes
-// sharing cached artifacts across concurrent requests safe.
+// immutable once computed: later stages of the same request read it, so
+// consumers that need to transform a graph (constprop.Apply, epr.Apply)
+// clone it first. Live artifacts are never kept across requests; only
+// Reports are cached (see AnalyzeReport).
 package pipeline
 
 import (
@@ -167,18 +170,18 @@ type Options struct {
 	Predicates bool
 
 	// SourceKind selects the frontend for Request.Source. It is part of
-	// the cache fingerprint: the same bytes mean different programs under
+	// the content address: the same bytes mean different programs under
 	// different frontends.
 	SourceKind SourceKind
 
 	// ExecInputs is the input stream for the exec stage's differential
-	// execution oracle. It contributes to the exec artifact's cache key
-	// only, so varying inputs never splits the cache of the pure analysis
-	// stages.
+	// execution oracle. It is folded into the report key only when the exec
+	// stage is requested, so varying inputs never splits the cached Reports
+	// of the pure analysis stages.
 	ExecInputs []int64
 }
 
-// fingerprint folds the options into the cache key.
+// fingerprint folds the options into the content address.
 func (o Options) fingerprint() string {
 	return fmt.Sprintf("pred=%t/kind=%s", o.Predicates, o.SourceKind)
 }
@@ -192,10 +195,9 @@ type Request struct {
 	Timeout time.Duration // per-request; 0 means the engine default
 }
 
-// StageInfo records how one stage of one request was satisfied.
+// StageInfo records one stage's computation for one request.
 type StageInfo struct {
-	CacheHit bool
-	Duration time.Duration // compute time (zero on cache hits)
+	Duration time.Duration // compute time
 }
 
 // SSAResult is the ssa stage artifact: both constructions plus their
@@ -241,11 +243,10 @@ type EPRResult struct {
 }
 
 // Result carries the artifacts of one request. Only the stages that were
-// requested (or required as dependencies) are non-nil. All artifacts are
-// shared with the engine's cache and must be treated as read-only; clone
-// before transforming (see epr.Clone).
+// requested (or required as dependencies) are non-nil. Later stages read
+// the artifacts of earlier ones, so all of them must be treated as
+// read-only; clone before transforming (see epr.Clone).
 type Result struct {
-	Key     string // content address: sha256(source) + options fingerprint
 	src     string // request source, for the parse stage
 	Program *ast.Program
 	// Bytecode and BCInfo are populated instead of Program when the request's
@@ -284,12 +285,18 @@ func (e *StageError) Error() string {
 func (e *StageError) Unwrap() error { return e.Err }
 
 // Config configures an Engine. The zero value gives GOMAXPROCS workers, a
-// 1024-entry cache, and a 30-second default request timeout.
+// 512-entry report LRU, no persistent store, and a 30-second default
+// request timeout.
 type Config struct {
 	Workers        int           // batch worker-pool size; <=0 means GOMAXPROCS
-	CacheEntries   int           // cache capacity in stage artifacts; <=0 means 1024; see DisableCache
-	DisableCache   bool          // bypass memoization entirely (cold-path measurement)
 	DefaultTimeout time.Duration // per-request timeout when Request.Timeout is 0; <=0 means 30s
+
+	// Deprecated: the engine keeps no stage-artifact cache, so
+	// CacheEntries is ignored. ReportCacheEntries sizes the only cache.
+	CacheEntries int
+	// Deprecated: the engine keeps no stage-artifact cache, so every
+	// Analyze call computes and DisableCache is ignored.
+	DisableCache bool
 
 	// IntraWorkers bounds intra-program parallelism for a single Analyze
 	// call: the region-parallel DFG build and the word-partitioned solver
@@ -303,23 +310,21 @@ type Config struct {
 	// in-memory report LRU: computed reports are written through to it and
 	// survive process restarts. Open it with schema ReportSchemaVersion.
 	Store *store.Store
-	// ReportCacheEntries sizes the in-memory report LRU in front of Store;
-	// <=0 means 512. Only consulted when Store is set (without a store the
-	// stage-artifact LRU already memoizes everything in memory).
+	// ReportCacheEntries sizes AnalyzeReport's in-memory report LRU, with
+	// or without a Store; <=0 means 512.
 	ReportCacheEntries int
 
-	// StageHook, when set, runs before each stage computation (cache hits
-	// skip it). It exists for tracing and fault injection in tests: a hook
-	// that panics exercises the engine's panic isolation.
+	// StageHook, when set, runs before each stage computation. It exists
+	// for tracing and fault injection in tests: a hook that panics
+	// exercises the engine's panic isolation.
 	StageHook func(Stage, string)
 }
 
-// Engine is a concurrent, memoizing analysis pipeline. It is safe for use
-// by multiple goroutines.
+// Engine is a concurrent analysis pipeline with a report-level cache. It is
+// safe for use by multiple goroutines.
 type Engine struct {
 	cfg       Config
-	cache     *lruCache
-	reportLRU *lruCache // in-memory tier of the two-tier report cache
+	reportLRU *lruCache // AnalyzeReport's in-memory tier
 	metrics   *metrics
 }
 
@@ -328,23 +333,13 @@ func New(c Config) *Engine {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 1024
-	}
 	if c.ReportCacheEntries <= 0 {
 		c.ReportCacheEntries = 512
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
 	}
-	e := &Engine{cfg: c, metrics: newMetrics()}
-	if !c.DisableCache {
-		e.cache = newLRU(c.CacheEntries)
-	}
-	if c.Store != nil {
-		e.reportLRU = newLRU(c.ReportCacheEntries)
-	}
-	return e
+	return &Engine{cfg: c, reportLRU: newLRU(c.ReportCacheEntries), metrics: newMetrics()}
 }
 
 // Workers reports the engine's batch worker-pool size.
@@ -359,18 +354,19 @@ func (e *Engine) IntraWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// key returns the content address of (source, options): the cache identity
-// of all stage artifacts for that pair.
+// key returns the content address of (source, options), the prefix of every
+// report key for that pair.
 func key(source string, o Options) string {
 	sum := sha256.Sum256([]byte(source))
 	return hex.EncodeToString(sum[:]) + "/" + o.fingerprint()
 }
 
-// Analyze runs the requested stages (plus dependencies) on req.Source,
-// consulting the cache stage by stage. A stage that panics is recovered and
-// reported as a *StageError with Panicked set; the process is never taken
-// down by a malformed program. Cancellation and deadlines on ctx are
-// observed at stage boundaries.
+// Analyze runs the requested stages (plus dependencies) on req.Source and
+// returns their live artifacts. Every call computes: the engine keeps no
+// artifact across calls (AnalyzeReport caches finished Reports). A stage
+// that panics is recovered and reported as a *StageError with Panicked
+// set; the process is never taken down by a malformed program.
+// Cancellation and deadlines on ctx are observed at stage boundaries.
 func (e *Engine) Analyze(ctx context.Context, req Request) (*Result, error) {
 	return e.analyzeIntra(ctx, req, e.IntraWorkers())
 }
@@ -398,7 +394,6 @@ func (e *Engine) analyzeIntra(ctx context.Context, req Request, intra int) (*Res
 	defer cancel()
 
 	res := &Result{
-		Key:    key(req.Source, req.Options),
 		src:    req.Source,
 		Stages: make(map[Stage]StageInfo, len(plan)),
 	}
@@ -413,25 +408,15 @@ func (e *Engine) analyzeIntra(ctx context.Context, req Request, intra int) (*Res
 	return res, nil
 }
 
-// runStage satisfies one stage of one request from the cache or by
-// computing it, updating metrics either way.
+// runStage computes one stage of one request and updates its metrics.
 func (e *Engine) runStage(st Stage, req Request, res *Result, intra int) error {
-	ck := stageKey(res.Key, st, req.Options)
-	if e.cache != nil {
-		if v, ok := e.cache.get(ck); ok {
-			e.metrics.stage(st).hits.Add(1)
-			res.install(st, v)
-			res.Stages[st] = StageInfo{CacheHit: true}
-			return nil
-		}
-	}
 	ab0, ao0 := heapAllocs()
 	start := time.Now()
 	v, err := e.computeStage(st, req, res, intra)
 	elapsed := time.Since(start)
 	ab1, ao1 := heapAllocs()
 	m := e.metrics.stage(st)
-	m.misses.Add(1)
+	m.runs.Add(1)
 	m.nanos.Add(elapsed.Nanoseconds())
 	m.allocBytes.Add(ab1 - ab0)
 	m.allocObjs.Add(ao1 - ao0)
@@ -442,23 +427,9 @@ func (e *Engine) runStage(st Stage, req Request, res *Result, intra int) error {
 		}
 		return err
 	}
-	if e.cache != nil {
-		e.cache.put(ck, v)
-	}
 	res.install(st, v)
 	res.Stages[st] = StageInfo{Duration: elapsed}
 	return nil
-}
-
-// stageKey derives the cache key of one stage's artifact from the request's
-// content address. The exec stage folds in its input vector: executing a
-// program is parameterized by inputs, the pure stages are not.
-func stageKey(resKey string, st Stage, opts Options) string {
-	ck := resKey + "/" + string(st)
-	if st == StageExec {
-		ck += fmt.Sprintf("/inputs=%v", opts.ExecInputs)
-	}
-	return ck
 }
 
 // computeStage dispatches to the analysis packages with panic isolation.
@@ -484,7 +455,7 @@ func (e *Engine) computeStage(st Stage, req Request, res *Result, intra int) (v 
 // compute produces the artifact of one stage from its (already installed)
 // dependencies. It must not mutate anything reachable from res. intra
 // bounds intra-program parallelism; every stage's output is byte-identical
-// at any intra value, so cache keys are unaffected.
+// at any intra value, so report keys are unaffected.
 func compute(st Stage, opts Options, res *Result, intra int) (any, error) {
 	switch st {
 	case StageParse:
@@ -580,8 +551,8 @@ func compute(st Stage, opts Options, res *Result, intra int) (any, error) {
 		out.Optimized = opt
 		return out, nil
 	case StageExec:
-		// Check never mutates the graph, so the shared cached CFG is safe
-		// to execute in place.
+		// Check never mutates the graph, so the request's CFG is safe to
+		// execute in place.
 		return oracle.Check(res.CFG, oracle.Config{Inputs: opts.ExecInputs}), nil
 	}
 	return nil, fmt.Errorf("unknown stage %q", st)
@@ -590,7 +561,7 @@ func compute(st Stage, opts Options, res *Result, intra int) (any, error) {
 // source recovers the request source for the parse stage.
 func (r *Result) source() string { return r.src }
 
-// install records a computed (or cached) stage artifact on the result.
+// install records a computed stage artifact on the result.
 func (r *Result) install(st Stage, v any) {
 	switch st {
 	case StageParse:

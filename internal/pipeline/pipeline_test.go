@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -66,40 +67,61 @@ func TestAnalyzeAllStages(t *testing.T) {
 	}
 }
 
+func mustReport(t *testing.T, e *Engine, req Request) *ReportResult {
+	t.Helper()
+	rr, err := e.AnalyzeReport(context.Background(), req)
+	if err != nil {
+		t.Fatalf("AnalyzeReport: %v", err)
+	}
+	return rr
+}
+
+// TestCacheHitsSecondRequest: a repeated request is answered from the
+// report LRU without running a stage, and an options change is a
+// different report.
 func TestCacheHitsSecondRequest(t *testing.T) {
 	e := New(Config{})
-	mustAnalyze(t, e, Request{Source: sampleSrc})
-	res := mustAnalyze(t, e, Request{Source: sampleSrc})
-	for st, info := range res.Stages {
-		if !info.CacheHit {
-			t.Errorf("stage %s missed the cache on the second request", st)
-		}
+	first := mustReport(t, e, Request{Source: sampleSrc})
+	second := mustReport(t, e, Request{Source: sampleSrc})
+	if first.Tier != TierCompute || second.Tier != TierLRU {
+		t.Fatalf("tiers = %s, %s; want compute, lru", first.Tier, second.Tier)
+	}
+	if !bytes.Equal(first.Raw, second.Raw) || second.Stages != nil {
+		t.Fatal("the LRU answer must be the computed bytes, with no stage runs")
 	}
 	snap := e.Snapshot()
 	for _, st := range AllStages() {
-		if snap.Stages[st].Hits != 1 || snap.Stages[st].Misses != 1 {
-			t.Errorf("stage %s: hits=%d misses=%d, want 1/1",
-				st, snap.Stages[st].Hits, snap.Stages[st].Misses)
+		if n := snap.Stages[st].Runs; n != 1 {
+			t.Errorf("stage %s ran %d times, want 1", st, n)
 		}
 	}
-	// Different options must not share cache entries.
-	res2 := mustAnalyze(t, e, Request{Source: sampleSrc, Options: Options{Predicates: true}})
-	if res2.Stages[StageParse].CacheHit {
-		t.Error("options change must change the cache key")
+	if rc := snap.ReportCache; rc.LRUHits != 1 || rc.LRUMisses != 1 || rc.Entries != 1 {
+		t.Errorf("report cache = %+v, want 1 hit, 1 miss, 1 entry", rc)
+	}
+	pred := mustReport(t, e, Request{Source: sampleSrc, Options: Options{Predicates: true}})
+	if pred.Tier != TierCompute {
+		t.Errorf("options change answered from %s; it must change the report key", pred.Tier)
 	}
 }
 
+// TestDisableCache: the deprecated stage-cache fields are inert. Analyze
+// computes every stage on every call and shares no artifact across calls,
+// and the report LRU serves repeats whatever the fields say.
 func TestDisableCache(t *testing.T) {
-	e := New(Config{DisableCache: true})
-	mustAnalyze(t, e, Request{Source: sampleSrc})
-	res := mustAnalyze(t, e, Request{Source: sampleSrc})
-	for st, info := range res.Stages {
-		if info.CacheHit {
-			t.Errorf("stage %s hit a cache that should be disabled", st)
+	for _, c := range []Config{{}, {DisableCache: true}, {CacheEntries: 1}} {
+		e := New(c)
+		a := mustAnalyze(t, e, Request{Source: sampleSrc})
+		b := mustAnalyze(t, e, Request{Source: sampleSrc})
+		if a.CFG == b.CFG || a.DFG == b.DFG {
+			t.Errorf("%+v: two Analyze calls share live artifacts", c)
 		}
-	}
-	if !e.Snapshot().Cache.Disabled {
-		t.Error("snapshot should report the cache disabled")
+		if n := e.Snapshot().Stages[StageEPR].Runs; n != 2 {
+			t.Errorf("%+v: epr ran %d times over two Analyze calls, want 2", c, n)
+		}
+		mustReport(t, e, Request{Source: sampleSrc})
+		if rr := mustReport(t, e, Request{Source: sampleSrc}); rr.Tier != TierLRU {
+			t.Errorf("%+v: repeat AnalyzeReport tier = %s, want lru", c, rr.Tier)
+		}
 	}
 }
 
@@ -144,7 +166,7 @@ func TestBatchCancellation(t *testing.T) {
 	e := New(Config{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out := e.AnalyzeBatch(ctx, []Request{{Source: sampleSrc}, {Source: sampleSrc}})
+	out := collectBatch(ctx, t, e, []Request{{Source: sampleSrc}, {Source: sampleSrc}})
 	for _, br := range out {
 		if br.Err == nil {
 			t.Errorf("slot %d: want cancellation error", br.Index)
@@ -159,7 +181,7 @@ func TestBatchIsolatesBadRequests(t *testing.T) {
 		{Source: "if ("}, // parse error
 		{Source: sampleSrc},
 	}
-	out := e.AnalyzeBatch(context.Background(), reqs)
+	out := collectBatch(context.Background(), t, e, reqs)
 	if out[0].Err != nil || out[2].Err != nil {
 		t.Fatalf("good requests failed: %v / %v", out[0].Err, out[2].Err)
 	}
@@ -168,24 +190,54 @@ func TestBatchIsolatesBadRequests(t *testing.T) {
 	}
 }
 
+// TestLRUEviction: a one-entry report LRU evicts the older report, which
+// is then recomputed to the same bytes; correctness must not depend on the
+// cache.
 func TestLRUEviction(t *testing.T) {
-	// Capacity 4 holds less than one program's stages (9), so a second
-	// pass recomputes and correctness must not depend on the cache.
-	e := New(Config{CacheEntries: 4})
-	a := mustAnalyze(t, e, Request{Source: sampleSrc}).Report()
-	b := mustAnalyze(t, e, Request{Source: sampleSrc}).Report()
-	aj, _ := json.Marshal(a)
-	bj, _ := json.Marshal(b)
-	if string(aj) != string(bj) {
-		t.Fatalf("reports differ under eviction:\n%s\n%s", aj, bj)
+	e := New(Config{ReportCacheEntries: 1})
+	a := Request{Source: sampleSrc}
+	b := Request{Source: "read a; print a;"}
+	first := mustReport(t, e, a)
+	mustReport(t, e, b)
+	again := mustReport(t, e, a)
+	if again.Tier != TierCompute {
+		t.Errorf("evicted report answered from %s, want compute", again.Tier)
 	}
-	if snap := e.Snapshot(); snap.Cache.Evictions == 0 {
-		t.Error("expected evictions with capacity 4")
+	if !bytes.Equal(first.Raw, again.Raw) {
+		t.Fatalf("reports differ under eviction:\n%s\n%s", first.Raw, again.Raw)
+	}
+	if rr := mustReport(t, e, a); rr.Tier != TierLRU {
+		t.Errorf("most recent report answered from %s, want lru", rr.Tier)
+	}
+	if n := e.Snapshot().ReportCache.Entries; n != 1 {
+		t.Errorf("report LRU holds %d entries, want 1", n)
 	}
 }
 
+// collectBatch runs reqs through AnalyzeBatchStream and returns the results
+// index-aligned with reqs, failing tb unless every slot is delivered
+// exactly once.
+func collectBatch(ctx context.Context, tb testing.TB, e *Engine, reqs []Request) []BatchResult {
+	tb.Helper()
+	out := make([]BatchResult, len(reqs))
+	seen := make([]bool, len(reqs))
+	e.AnalyzeBatchStream(ctx, reqs, func(br BatchResult) {
+		if seen[br.Index] {
+			tb.Errorf("slot %d delivered twice", br.Index)
+		}
+		seen[br.Index] = true
+		out[br.Index] = br
+	})
+	for i, ok := range seen {
+		if !ok {
+			tb.Fatalf("slot %d never delivered", i)
+		}
+	}
+	return out
+}
+
 // serialReport runs the underlying analysis packages directly — no engine,
-// no cache, no goroutines — and assembles the same Report the engine
+// no goroutines — and assembles the same Report the engine
 // produces. It is the reference the parallel-safety tests compare against.
 func serialReport(t *testing.T, src string) Report {
 	t.Helper()
@@ -262,9 +314,9 @@ func reportJSON(t *testing.T, rep Report) string {
 }
 
 // TestParallelSubtestsShareEngine is the parallel-safety regression of the
-// issue: 100 t.Parallel subtests hammer one shared Engine (so under -race
-// every cache and metrics path is exercised concurrently) and each asserts
-// its result equals the serial pipeline's.
+// engine: 100 t.Parallel subtests hammer one shared Engine (so under -race
+// every metrics path is exercised concurrently) and each asserts its result
+// equals the serial pipeline's.
 func TestParallelSubtestsShareEngine(t *testing.T) {
 	srcs := mixedSources(100)
 	want := serialReference(t, srcs)
@@ -281,8 +333,10 @@ func TestParallelSubtestsShareEngine(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSerial drives the same corpus through AnalyzeBatch twice
-// (cold then warm cache) and asserts every slot equals the serial result.
+// TestBatchMatchesSerial drives the same corpus through AnalyzeBatchStream
+// twice and asserts every slot is delivered once and equals the serial
+// result. The engine keeps no artifacts between batches, so the second pass
+// recomputes every stage.
 func TestBatchMatchesSerial(t *testing.T) {
 	srcs := mixedSources(100)
 	wantAll := serialReference(t, srcs)
@@ -292,7 +346,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 	}
 	e := New(Config{})
 	for pass := 0; pass < 2; pass++ {
-		out := e.AnalyzeBatch(context.Background(), reqs)
+		out := collectBatch(context.Background(), t, e, reqs)
 		for _, br := range out {
 			if br.Err != nil {
 				t.Fatalf("pass %d slot %d: %v", pass, br.Index, br.Err)
@@ -308,7 +362,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 	if snap.Batches != 2 {
 		t.Errorf("batches=%d, want 2", snap.Batches)
 	}
-	if snap.Stages[StageDFG].Hits == 0 {
-		t.Error("second pass should have hit the cache")
+	if n := snap.Stages[StageDFG].Runs; n != int64(2*len(srcs)) {
+		t.Errorf("dfg ran %d times over two passes, want %d", n, 2*len(srcs))
 	}
 }

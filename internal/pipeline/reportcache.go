@@ -40,7 +40,7 @@ type ReportResult struct {
 	Key  string // report-level content address
 	Raw  []byte // canonical Report JSON
 	Tier ReportTier
-	// Stages is per-stage satisfaction info; populated only when the report
+	// Stages holds per-stage compute times; populated only when the report
 	// was computed this call (cache tiers do not re-run stages).
 	Stages map[Stage]StageInfo
 }
@@ -73,29 +73,25 @@ func ReportKey(source string, opts Options, stages []Stage) (string, error) {
 	return k + fmt.Sprintf("/schema=%d", ReportSchemaVersion), nil
 }
 
-// AnalyzeReport answers a request at Report granularity through the two-tier
-// cache: the in-memory report LRU first, then the persistent store, then a
-// full Analyze (whose stage artifacts still flow through the stage-level
-// LRU). Computed reports are written through to both tiers. This is the
-// entry point the wire backends (cmd/dfg-worker) and the store-backed serve
-// path use; callers that need live artifacts (DOT rendering) use Analyze.
+// AnalyzeReport answers a request at Report granularity: the in-memory
+// report LRU first, then the persistent store when one is configured, then
+// a full Analyze. Computed reports are written through to both tiers. This
+// is the entry point the wire backends (cmd/dfg-worker) and dfg-serve's
+// in-process mode use; callers that need live artifacts (DOT rendering)
+// use Analyze.
 func (e *Engine) AnalyzeReport(ctx context.Context, req Request) (*ReportResult, error) {
 	rkey, err := ReportKey(req.Source, req.Options, req.Stages)
 	if err != nil {
 		return nil, err
 	}
-	if e.reportLRU != nil {
-		if v, ok := e.reportLRU.get(rkey); ok {
-			e.metrics.reportHits.Add(1)
-			return &ReportResult{Key: rkey, Raw: v.([]byte), Tier: TierLRU}, nil
-		}
+	if raw, ok := e.reportLRU.get(rkey); ok {
+		e.metrics.reportHits.Add(1)
+		return &ReportResult{Key: rkey, Raw: raw, Tier: TierLRU}, nil
 	}
 	e.metrics.reportMisses.Add(1)
 	if e.cfg.Store != nil {
 		if raw, ok := e.cfg.Store.Get(rkey); ok {
-			if e.reportLRU != nil {
-				e.reportLRU.put(rkey, raw)
-			}
+			e.reportLRU.put(rkey, raw)
 			return &ReportResult{Key: rkey, Raw: raw, Tier: TierStore}, nil
 		}
 	}
@@ -115,15 +111,14 @@ func (e *Engine) AnalyzeReport(ctx context.Context, req Request) (*ReportResult,
 			e.metrics.storePutErrors.Add(1)
 		}
 	}
-	if e.reportLRU != nil {
-		e.reportLRU.put(rkey, raw)
-	}
+	e.reportLRU.put(rkey, raw)
 	return &ReportResult{Key: rkey, Raw: raw, Tier: TierCompute, Stages: res.Stages}, nil
 }
 
 // ImportReport accepts a finished Report pushed from elsewhere — the
-// frontier's replication and read-repair path — and installs it in both
-// cache tiers under its report key, bytes verbatim. Storing the pushed
+// frontier's replication and read-repair path — and installs it in the
+// store (when configured) and the report LRU under its report key, bytes
+// verbatim. Storing the pushed
 // bytes (rather than re-marshalling) preserves the byte-identical
 // cross-worker property the differential tests pin. The key is trusted:
 // it was derived by a worker running the same ReportKey code behind the
@@ -141,9 +136,7 @@ func (e *Engine) ImportReport(key string, raw []byte) error {
 			return err
 		}
 	}
-	if e.reportLRU != nil {
-		e.reportLRU.put(key, raw)
-	}
+	e.reportLRU.put(key, raw)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"dfg/internal/store"
@@ -72,8 +73,8 @@ func TestAnalyzeReportTiers(t *testing.T) {
 	}
 
 	snap := e2.Snapshot()
-	if snap.ReportCache == nil || snap.Store == nil {
-		t.Fatalf("snapshot missing report-cache/store stats: %+v", snap)
+	if snap.Store == nil {
+		t.Fatalf("snapshot missing store stats: %+v", snap)
 	}
 	if snap.Store.Hits != 1 {
 		t.Fatalf("store hits = %d, want 1", snap.Store.Hits)
@@ -138,8 +139,9 @@ func TestReportKeySensitivity(t *testing.T) {
 	}
 }
 
-// TestAnalyzeReportWithoutStore: an engine with no store still works (pure
-// compute each call at report level; stage LRU still memoizes underneath).
+// TestAnalyzeReportWithoutStore: an engine with no store computes a new
+// report and has no artifact store (TestCacheHitsSecondRequest covers its
+// report LRU).
 func TestAnalyzeReportWithoutStore(t *testing.T) {
 	e := New(Config{})
 	rr, err := e.AnalyzeReport(context.Background(), Request{Source: "read a; print a + 1;"})
@@ -163,5 +165,51 @@ func TestAnalyzeReportErrors(t *testing.T) {
 	}
 	if n := e.ArtifactStore().Len(); n != 0 {
 		t.Fatalf("failed analysis left %d store artifacts", n)
+	}
+}
+
+// TestServedHeapStaysBounded pins what a served worker keeps alive: 300
+// never-seen programs in the benchmark's cold mix (Mixed(15),
+// LoopNest(6,4), Irreducible(40) and Wide(300) at 15:2:2:1) go through a
+// store-backed AnalyzeReport, and the live heap may grow only by the cached
+// report bytes. Live stage artifacts (CFGs, DFGs, SSA forms, optimized
+// clones) kept beyond their request would grow it by tens of megabytes.
+func TestServedHeapStaysBounded(t *testing.T) {
+	const limit = 8 << 20
+	e := storeEngine(t, t.TempDir())
+	ctx := context.Background()
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	for i := 0; i < 300; i++ {
+		seed := int64(10_000 + i)
+		var src string
+		switch k := i % 20; {
+		case k < 15:
+			src = workload.Mixed(15, seed).String()
+		case k < 17:
+			src = workload.LoopNest(6, 4, seed).String()
+		case k < 19:
+			src = workload.Irreducible(40, seed).String()
+		default:
+			src = workload.Wide(300, seed).String()
+		}
+		rr, err := e.AnalyzeReport(ctx, Request{Source: src})
+		if err != nil {
+			t.Fatalf("program %d: %v", i, err)
+		}
+		if rr.Tier != TierCompute {
+			t.Fatalf("program %d answered from %s; the corpus must be never-seen", i, rr.Tier)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(e)
+	grown := int64(ms.HeapAlloc) - int64(before)
+	t.Logf("live heap grew %.1f MB over 300 served programs", float64(grown)/(1<<20))
+	if grown > limit {
+		t.Fatalf("live heap grew %.1f MB over 300 served programs, want <= %.1f MB",
+			float64(grown)/(1<<20), float64(limit)/(1<<20))
 	}
 }

@@ -126,7 +126,9 @@ type Result struct {
 	Unprocessable bool `json:"unprocessable,omitempty"`
 }
 
-// Meta is the per-stage satisfaction record, mirroring the HTTP stageMeta.
+// Meta is one stage's compute record, mirroring the HTTP stageMeta. A
+// computed answer carries one per stage with NS set; a cache-tier answer
+// carries a single "report" entry with CacheHit set.
 type Meta struct {
 	CacheHit bool  `json:"cache_hit"`
 	NS       int64 `json:"ns"`
