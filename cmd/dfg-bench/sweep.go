@@ -15,17 +15,12 @@ import (
 )
 
 // GOMAXPROCS parallelism sweep: the machine-readable record behind
-// BENCH_parallel.json. Two axes, both cache-cold:
+// BENCH_parallel.json. One axis, cache-cold:
 //
 //   - batch-cold: 100 Mixed(15) programs through AnalyzeBatchStream with a
 //     worker pool of p — inter-program parallelism, the serving fleet's
-//     bulk-ingest shape.
-//
-//   - intra-program: ONE breadth-heavy Wide program of 500+ statements
-//     through Analyze with IntraWorkers=p — intra-program parallelism over
-//     the program structure tree (region-parallel DFG build plus
-//     word-partitioned solvers), the shape that helps when there is only
-//     one big program to analyze.
+//     bulk-ingest shape. Each program's stages run serially; the engine
+//     has no intra-program parallelism.
 //
 // Each point pins runtime.GOMAXPROCS to p so the record reflects what a
 // host with p cores would see. Points above NumCPU are not measured: with
@@ -36,30 +31,23 @@ import (
 // Gates, evaluated in-run so machine variance between recordings cannot
 // fake a pass:
 //
-//   - batch-parity / intra-parity: the parallel entry points must be
-//     within 3% of a serial reference measured in the same process, at
-//     GOMAXPROCS=1. The batch gate compares the batch scheduler at
-//     Workers=1 against a plain Analyze loop (no batch scheduler) — the
-//     pre-parallel serving shape. The intra gate forces IntraWorkers=4 on
-//     the pinned single-proc host against an IntraWorkers=1 reference:
-//     parallel.Workers clamps to GOMAXPROCS, so this exercises the
-//     GOMAXPROCS==1 fallback rule end-to-end — requesting parallelism when
-//     there is one processor must degrade to the serial code paths at no
-//     material cost. Both sides of both gates run through the engine, so
-//     engine bookkeeping (content hashing, per-stage counters, report
-//     summaries and their GC) cancels instead of being billed to the
-//     parallel paths. Reference and measured passes are interleaved in
-//     time, because on a shared host the load drifts over the minutes a
-//     sweep takes and the gate must compare two numbers taken under the
-//     same drift.
+//   - batch-parity: at GOMAXPROCS=1 the batch scheduler at Workers=1 must
+//     be within 3% of a plain Analyze loop (no batch scheduler) — the
+//     pre-parallel serving shape — measured in the same process. Both
+//     sides run through the engine, so engine bookkeeping (content
+//     hashing, per-stage counters, report summaries and their GC) cancels
+//     instead of being billed to the scheduler. Reference and measured
+//     passes are interleaved in time, because on a shared host the load
+//     drifts over the minutes a sweep takes and the gate must compare two
+//     numbers taken under the same drift.
 //
-//   - batch-scaling / intra-scaling: on hosts with more than one CPU, some
-//     p>1 point must beat the p=1 point on both axes. On a single-core
-//     host this gate is recorded as SKIP, never silently passed.
+//   - batch-scaling: on hosts with more than one CPU, some p>1 point must
+//     beat the p=1 point. On a single-core host this gate is recorded as
+//     SKIP, never silently passed.
 
-// parityGate is the parity gates' ceiling on p=1/serial: the parallel
-// entry points may cost at most 3% over the pre-parallel serial pipeline
-// when there is no parallelism to exploit.
+// parityGate is the batch-parity gate's ceiling on p=1/serial: the batch
+// scheduler may cost at most 3% over a plain serial Analyze loop when
+// there is no parallelism to exploit.
 const parityGate = 1.03
 
 type sweepPoint struct {
@@ -74,18 +62,15 @@ type sweepRecord struct {
 	Workload    map[string]string `json:"workload"`
 	Environment envinfo.Info      `json:"environment"`
 	Repeats     int               `json:"repeats"`
-	// Serial references measured in this run: mean ns over rounds
-	// interleaved with the p=1 passes (see the parity gates). The parity
-	// ratios compare interleaved means, not the best-of curve points.
+	// Serial reference measured in this run: mean ns over rounds
+	// interleaved with the p=1 passes (see the parity gate). The parity
+	// ratio compares interleaved means, not the best-of curve points.
 	SerialBatchNS    int64   `json:"serial_reference_batch_ns"`
-	SerialIntraNS    int64   `json:"serial_reference_intra_ns"`
 	ParityBatchRatio float64 `json:"parity_batch_ratio"`
-	ParityIntraRatio float64 `json:"parity_intra_ratio"`
 
-	BatchCold    []sweepPoint      `json:"batch_cold"`
-	IntraProgram []sweepPoint      `json:"intra_program"`
-	Gates        map[string]string `json:"gates"`
-	Notes        map[string]string `json:"notes"`
+	BatchCold []sweepPoint      `json:"batch_cold"`
+	Gates     map[string]string `json:"gates"`
+	Notes     map[string]string `json:"notes"`
 }
 
 // sweepProcs returns the GOMAXPROCS points: 1, doubling up to NumCPU, plus
@@ -207,11 +192,10 @@ func runSweep(path string, repeats int) error {
 	for i := range reqs {
 		reqs[i] = pipeline.Request{Source: workload.Mixed(15, int64(i+1)).String()}
 	}
-	intraSrc := workload.Wide(600, 1).String()
 
 	batchPass := func(workers int) func() error {
 		return func() error {
-			e := pipeline.New(pipeline.Config{Workers: workers, IntraWorkers: 1})
+			e := pipeline.New(pipeline.Config{Workers: workers})
 			var firstErr error
 			e.AnalyzeBatchStream(ctx, reqs, func(br pipeline.BatchResult) {
 				if br.Err != nil && firstErr == nil {
@@ -221,15 +205,8 @@ func runSweep(path string, repeats int) error {
 			return firstErr
 		}
 	}
-	intraPass := func(intra int) func() error {
-		return func() error {
-			e := pipeline.New(pipeline.Config{Workers: 1, IntraWorkers: intra})
-			_, err := e.Analyze(ctx, pipeline.Request{Source: intraSrc})
-			return err
-		}
-	}
 	serialBatchPass := func() error {
-		e := pipeline.New(pipeline.Config{Workers: 1, IntraWorkers: 1})
+		e := pipeline.New(pipeline.Config{Workers: 1})
 		for _, r := range reqs {
 			if _, err := e.Analyze(ctx, r); err != nil {
 				return err
@@ -241,26 +218,13 @@ func runSweep(path string, repeats int) error {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 
-	// Parity measurements at GOMAXPROCS=1, references interleaved with the
-	// p=1 points. More rounds than the sweep points get: the 3% gate needs
-	// the averaging (see measureParity). The intra pass is several times
-	// shorter than a batch pass, so it runs proportionally more rounds —
-	// the estimator's noise shrinks with total measured time, not round
-	// count.
+	// Parity measurement at GOMAXPROCS=1, the reference interleaved with
+	// the p=1 point. More rounds than the sweep points get: the 3% gate
+	// needs the averaging (see measureParity).
 	parityRounds := repeats + 5
 	runtime.GOMAXPROCS(1)
 	serialBatch, _, batch1, batchRatio, err := measureParityBest(3, parityRounds, parityGate,
 		serialBatchPass, batchPass(1))
-	if err != nil {
-		return err
-	}
-	// Intra: IntraWorkers=4 forced on the pinned single-proc runtime, held
-	// to the IntraWorkers=1 reference — the fallback-rule gate (see the
-	// package comment). The reference side's best round doubles as the
-	// curve's p=1 point: IntraWorkers=1 is what the default config resolves
-	// to on a one-processor host.
-	serialIntra, intra1, _, intraRatio, err := measureParityBest(3, 4*parityRounds, parityGate,
-		intraPass(1), intraPass(4))
 	if err != nil {
 		return err
 	}
@@ -269,57 +233,44 @@ func runSweep(path string, repeats int) error {
 		Benchmark: "dfg-bench -sweep (GOMAXPROCS parallelism sweep, cold cache)",
 		Date:      time.Now().UTC().Format("2006-01-02"),
 		Workload: map[string]string{
-			"batch_cold":    "100 workload.Mixed(15, seed) programs via AnalyzeBatchStream, Workers=p, IntraWorkers=1",
-			"intra_program": "one workload.Wide(600, 1) program (500+ statements, breadth-heavy) via Analyze, Workers=1, IntraWorkers=p",
+			"batch_cold": "100 workload.Mixed(15, seed) programs via AnalyzeBatchStream, Workers=p",
 		},
 		Repeats:          repeats,
 		SerialBatchNS:    serialBatch,
-		SerialIntraNS:    serialIntra,
 		ParityBatchRatio: round3(batchRatio),
-		ParityIntraRatio: round3(intraRatio),
 		Gates:            map[string]string{},
 		Notes: map[string]string{
-			"serial_reference_batch": "plain Analyze loop (no batch scheduler) at IntraWorkers=1, interleaved in time with the Workers=1 batch passes; mean over the interleaved rounds",
-			"serial_reference_intra": "engine Analyze at IntraWorkers=1 — the serial stage path; the measured side forces IntraWorkers=4 on the GOMAXPROCS=1 runtime, so the gate exercises the parallel entry points' clamp-to-serial fallback rule end-to-end",
-			"parity_ratios":          "ratio of summed interleaved round times measured/serial, best of up to 3 measurement attempts — the drift-cancelling estimator the parity gates check (best-of floors and medians flap by ±5% on shared hosts, and even one interleaved measurement can be defeated by a load burst; a true >3% overhead fails all attempts)",
+			"serial_reference_batch": "plain Analyze loop (no batch scheduler), interleaved in time with the Workers=1 batch passes; mean over the interleaved rounds",
+			"parity_ratios":          "ratio of summed interleaved round times measured/serial, best of up to 3 measurement attempts — the drift-cancelling estimator the parity gate checks (best-of floors and medians flap by ±5% on shared hosts, and even one interleaved measurement can be defeated by a load burst; a true >3% overhead fails all attempts)",
 			"re_run":                 "numbers are host-specific; re-run `dfg-bench -sweep BENCH_parallel.json` on the consuming host (CI's bench smoke does)",
 		},
 	}
 
 	for _, p := range sweepProcs() {
-		var bns, ins int64
-		if p == 1 {
-			bns, ins = batch1, intra1
-		} else {
+		bns := batch1
+		if p > 1 {
 			runtime.GOMAXPROCS(p)
 			if bns, err = timeBest(repeats, batchPass(p)); err != nil {
 				return err
 			}
-			if ins, err = timeBest(repeats, intraPass(p)); err != nil {
-				return err
-			}
 		}
 		// sweepProcs starts at 1, so the first recorded point is the
-		// speedup baseline for both axes.
-		batchBase, intraBase := bns, ins
+		// speedup baseline.
+		base := bns
 		if len(rec.BatchCold) > 0 {
-			batchBase, intraBase = rec.BatchCold[0].NSPerOp, rec.IntraProgram[0].NSPerOp
+			base = rec.BatchCold[0].NSPerOp
 		}
 		rec.BatchCold = append(rec.BatchCold, sweepPoint{
-			GOMAXPROCS: p, NSPerOp: bns, Speedup: round3(float64(batchBase) / float64(bns)),
+			GOMAXPROCS: p, NSPerOp: bns, Speedup: round3(float64(base) / float64(bns)),
 		})
-		rec.IntraProgram = append(rec.IntraProgram, sweepPoint{
-			GOMAXPROCS: p, NSPerOp: ins, Speedup: round3(float64(intraBase) / float64(ins)),
-		})
-		fmt.Printf("sweep: GOMAXPROCS=%d batch-cold=%.1fms intra-program=%.1fms\n",
-			p, float64(bns)/1e6, float64(ins)/1e6)
+		fmt.Printf("sweep: GOMAXPROCS=%d batch-cold=%.1fms\n", p, float64(bns)/1e6)
 	}
 	runtime.GOMAXPROCS(prev)
 
 	// Environment is collected after the sweep so GOMAXPROCS shows the
 	// restored process value, not the last sweep point.
 	rec.Environment = envinfo.Collect()
-	evalGates(rec)
+	evalGates(rec, runtime.NumCPU())
 
 	out, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
@@ -337,7 +288,7 @@ func runSweep(path string, repeats int) error {
 		fmt.Printf("sweep: wrote %s\n", path)
 	}
 	failed := 0
-	for _, name := range []string{"batch-parity", "intra-parity", "batch-scaling", "intra-scaling"} {
+	for _, name := range []string{"batch-parity", "batch-scaling"} {
 		verdict := rec.Gates[name]
 		fmt.Printf("sweep gate %-14s %s\n", name+":", verdict)
 		if strings.HasPrefix(verdict, "FAIL") {
@@ -350,39 +301,32 @@ func runSweep(path string, repeats int) error {
 	return nil
 }
 
-// evalGates fills rec.Gates from the recorded points.
-func evalGates(rec *sweepRecord) {
-	parity := func(name string, ratio float64) {
-		verdict := "PASS"
-		if ratio > parityGate {
-			verdict = "FAIL"
-		}
-		rec.Gates[name] = fmt.Sprintf("%s (parallel entry at GOMAXPROCS=1 is %.1f%% of its serial reference over interleaved rounds; gate <= 103%%)",
-			verdict, ratio*100)
+// evalGates fills rec.Gates from the recorded points; numCPU decides
+// whether the scaling gate can be measured at all.
+func evalGates(rec *sweepRecord, numCPU int) {
+	verdict := "PASS"
+	if rec.ParityBatchRatio > parityGate {
+		verdict = "FAIL"
 	}
-	parity("batch-parity", rec.ParityBatchRatio)
-	parity("intra-parity", rec.ParityIntraRatio)
+	rec.Gates["batch-parity"] = fmt.Sprintf("%s (parallel entry at GOMAXPROCS=1 is %.1f%% of its serial reference over interleaved rounds; gate <= 103%%)",
+		verdict, rec.ParityBatchRatio*100)
 
-	scaling := func(name string, pts []sweepPoint) {
-		if runtime.NumCPU() <= 1 {
-			rec.Gates[name] = "SKIP (single-core host; re-run on a multi-core box to measure scaling)"
-			return
-		}
-		best := pts[0]
-		for _, pt := range pts[1:] {
-			if pt.NSPerOp < best.NSPerOp {
-				best = pt
-			}
-		}
-		if best.GOMAXPROCS == 1 {
-			rec.Gates[name] = fmt.Sprintf("FAIL (no p>1 point beat p=1: best %.1fms at p=%d)",
-				float64(best.NSPerOp)/1e6, best.GOMAXPROCS)
-			return
-		}
-		rec.Gates[name] = fmt.Sprintf("PASS (%.2fx at GOMAXPROCS=%d)", best.Speedup, best.GOMAXPROCS)
+	if numCPU <= 1 {
+		rec.Gates["batch-scaling"] = "SKIP (single-core host; re-run on a multi-core box to measure scaling)"
+		return
 	}
-	scaling("batch-scaling", rec.BatchCold)
-	scaling("intra-scaling", rec.IntraProgram)
+	best := rec.BatchCold[0]
+	for _, pt := range rec.BatchCold[1:] {
+		if pt.NSPerOp < best.NSPerOp {
+			best = pt
+		}
+	}
+	if best.GOMAXPROCS == 1 {
+		rec.Gates["batch-scaling"] = fmt.Sprintf("FAIL (no p>1 point beat p=1: best %.1fms at p=%d)",
+			float64(best.NSPerOp)/1e6, best.GOMAXPROCS)
+		return
+	}
+	rec.Gates["batch-scaling"] = fmt.Sprintf("PASS (%.2fx at GOMAXPROCS=%d)", best.Speedup, best.GOMAXPROCS)
 }
 
 func round3(f float64) float64 {

@@ -270,6 +270,14 @@ func (f *Family) SolveDFG(d *dfg.Graph, cost *dataflow.Counter) (ant, pan *bitse
 	return f.SolveDFGOps(d, d.OpsByVar(), nil, cost)
 }
 
+// SolveDFGOpsParallel is SolveDFGOps on a fresh scratch.
+//
+// Deprecated: intra-program parallelism is gone; pool and workers are
+// ignored. Call SolveDFGOps.
+func (f *Family) SolveDFGOpsParallel(d *dfg.Graph, opsOf map[string][]dfg.OpID, pool any, workers int, cost *dataflow.Counter) (ant, pan *bitset.Matrix) {
+	return f.SolveDFGOps(d, opsOf, nil, cost)
+}
+
 // SolveDFGOps is SolveDFG with a caller-supplied operator index (one
 // d.OpsByVar() can serve several batched solves over the same graph
 // state) and an optional reusable scratch.

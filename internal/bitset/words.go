@@ -72,28 +72,6 @@ func (m *Matrix) Reshape(rows, bitCount int) {
 	m.Bits = bitCount
 }
 
-// CopyWordRangeFrom fills m with the word columns [w0, w1) of src: m must
-// have stride w1-w0 and at least as many rows as src reads. The parallel
-// solvers use it to carve a candidate-word chunk out of a full-width
-// transfer table.
-func (m *Matrix) CopyWordRangeFrom(src *Matrix, w0, w1 int) {
-	rows := src.Rows()
-	for i := 0; i < rows; i++ {
-		copy(m.Row(i), src.Row(i)[w0:w1])
-	}
-}
-
-// PasteWordRange writes src's rows into m at word-column offset w0: the
-// inverse of CopyWordRangeFrom, joining a chunk solve's result back into the
-// full-width matrix. Distinct word ranges of m are disjoint memory, so
-// concurrent pastes of non-overlapping chunks are safe.
-func (m *Matrix) PasteWordRange(src *Matrix, w0 int) {
-	rows := src.Rows()
-	for i := 0; i < rows; i++ {
-		copy(m.Row(i)[w0:w0+src.Stride], src.Row(i))
-	}
-}
-
 // Column extracts bit k of every row into a []bool — the per-candidate
 // boolean view the unbatched analyses expose.
 func (m *Matrix) Column(k int) []bool {

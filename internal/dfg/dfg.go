@@ -337,11 +337,8 @@ func buildWithInfo(g *cfg.Graph, info *regions.Info, exec bool) (*Graph, error) 
 }
 
 // newGraphPrefix allocates the graph and creates the deterministic operator
-// prefix every builder starts from: def operators per defining node in node
-// order, then (exec graphs) IOVar def operators per effectful node. The
-// serial and parallel builders share this so their operator numbering starts
-// from an identical state — the parallel join relies on every OpID below
-// len(d.Ops)-at-return being final.
+// prefix the per-variable flows start from: def operators per defining node
+// in node order, then (exec graphs) IOVar def operators per effectful node.
 func newGraphPrefix(g *cfg.Graph, info *regions.Info, exec bool) (*Graph, []string) {
 	vars := append([]string{CtlVar}, g.VarNames...)
 	if exec {

@@ -40,16 +40,7 @@ func AnalyzeBatch(g *cfg.Graph, exprs []ast.Expr, driver Driver, d *dfg.Graph) (
 // updated) family. sc, when non-nil, supplies reusable solver buffers —
 // ApplyPlaced threads one scratch through the many re-solves of a round.
 func analyzeFamily(f *anticip.Family, driver Driver, d *dfg.Graph, sc *anticip.Scratch) (*Batch, error) {
-	return analyzeFamilyPar(f, driver, d, sc, nil, 1)
-}
-
-// analyzeFamilyPar is analyzeFamily with optional intra-solve parallelism:
-// at workers > 1 (and a family wide enough to split) every fixpoint
-// partitions its candidate words across workers goroutines, drawing
-// per-worker buffers from pool instead of sc.
-func analyzeFamilyPar(f *anticip.Family, driver Driver, d *dfg.Graph, sc *anticip.Scratch, pool *anticip.ScratchPool, workers int) (*Batch, error) {
 	b := &Batch{G: f.G, Family: f}
-	par := workers > 1 && f.Words >= anticip.MinParallelWords
 	switch driver {
 	case DriverDFG:
 		if d == nil {
@@ -60,23 +51,12 @@ func analyzeFamilyPar(f *anticip.Family, driver Driver, d *dfg.Graph, sc *antici
 			}
 		}
 		opsOf := d.OpsByVar()
-		if par {
-			b.ANT, b.PAN = f.SolveDFGOpsParallel(d, opsOf, pool, workers, &b.Cost)
-			b.AV, b.PAV = dfgAVPAVBatchParallel(f, d, opsOf, pool, workers, &b.Cost)
-		} else {
-			b.ANT, b.PAN = f.SolveDFGOps(d, opsOf, sc, &b.Cost)
-			b.AV, b.PAV = dfgAVPAVBatch(f, d, opsOf, sc, &b.Cost)
-		}
+		b.ANT, b.PAN = f.SolveDFGOps(d, opsOf, sc, &b.Cost)
+		b.AV, b.PAV = dfgAVPAVBatch(f, d, opsOf, sc, &b.Cost)
 	default:
-		if par {
-			b.ANT, b.PAN = f.SolveCFGParallel(workers, &b.Cost)
-			b.AV = availabilityBatchParallel(f, true, workers, &b.Cost)
-			b.PAV = availabilityBatchParallel(f, false, workers, &b.Cost)
-		} else {
-			b.ANT, b.PAN = f.SolveCFG(&b.Cost)
-			b.AV = availabilityBatch(f, true, &b.Cost)
-			b.PAV = availabilityBatch(f, false, &b.Cost)
-		}
+		b.ANT, b.PAN = f.SolveCFG(&b.Cost)
+		b.AV = availabilityBatch(f, true, &b.Cost)
+		b.PAV = availabilityBatch(f, false, &b.Cost)
 	}
 	return b, nil
 }

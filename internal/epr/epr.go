@@ -523,41 +523,26 @@ var PatchCheck = os.Getenv("EPR_PATCH_CHECK") != ""
 // shared dependence graph is maintained in place across transformations
 // (dfg.PatchEPR), falling back to a full rebuild when a patch fails.
 func ApplyPlaced(g *cfg.Graph, driver Driver, placement Placement) (*cfg.Graph, Stats, error) {
-	return ApplyPlacedWorkers(g, driver, placement, 1)
+	return applyPlaced(g, driver, placement, nil)
 }
 
-// ApplyPlacedWorkers is ApplyPlaced with intra-program parallel solving:
-// at workers > 1 every batched re-solve partitions its candidate words
-// across up to workers goroutines (see analyzeFamilyPar), with per-worker
-// scratch arenas pooled across the whole run. Output is identical to
-// ApplyPlaced at any worker count — the solvers are bit-identical and the
-// transformation loop itself stays sequential (each accepted candidate
-// mutates the graph the next one is analyzed against).
-func ApplyPlacedWorkers(g *cfg.Graph, driver Driver, placement Placement, workers int) (*cfg.Graph, Stats, error) {
-	return applyPlaced(g, driver, placement, workers, nil)
-}
-
-// ApplyObserved is ApplyPlacedWorkers with busy placement that also hands
+// ApplyObserved is ApplyPlaced with busy placement that also hands
 // observe the analysis of every candidate of the first round, solved
 // against the unmodified input before any edit — the same analyses
 // AnalyzeBatch would return for g, without solving the family a second
 // time. The analyses view the graph the transformation goes on to mutate,
 // so observe must extract what it needs before returning.
-func ApplyObserved(g *cfg.Graph, driver Driver, workers int, observe func([]*Analysis)) (*cfg.Graph, Stats, error) {
-	return applyPlaced(g, driver, PlaceBusy, workers, observe)
+func ApplyObserved(g *cfg.Graph, driver Driver, observe func([]*Analysis)) (*cfg.Graph, Stats, error) {
+	return applyPlaced(g, driver, PlaceBusy, observe)
 }
 
-func applyPlaced(g *cfg.Graph, driver Driver, placement Placement, workers int, observe func([]*Analysis)) (*cfg.Graph, Stats, error) {
+func applyPlaced(g *cfg.Graph, driver Driver, placement Placement, observe func([]*Analysis)) (*cfg.Graph, Stats, error) {
 	out := Clone(g)
 	var st Stats
 	tmp := 0
 	var d *dfg.Graph
 	var sc anticip.Scratch // solver buffers reused across every re-solve
 	var walk savingWalk    // Redundant's path-walk marks, likewise
-	var pool *anticip.ScratchPool
-	if workers > 1 {
-		pool = anticip.NewScratchPool(workers)
-	}
 	// Iterate until no expression yields a transformation: replacing an
 	// inner expression can expose an outer redundancy.
 	for rounds := 0; rounds < maxRounds; rounds++ {
@@ -579,7 +564,7 @@ func applyPlaced(g *cfg.Graph, driver Driver, placement Placement, workers int, 
 		if fam.Words > st.SolverWords {
 			st.SolverWords = fam.Words
 		}
-		b, err := analyzeFamilyPar(fam, driver, d, &sc, pool, workers)
+		b, err := analyzeFamily(fam, driver, d, &sc)
 		if err != nil {
 			return nil, st, err
 		}
@@ -635,7 +620,7 @@ func applyPlaced(g *cfg.Graph, driver Driver, placement Placement, workers int, 
 			// Re-solve the remaining candidates against the mutated graph.
 			if k+1 < len(exprs) {
 				fam.Update(append(append([]cfg.NodeID{}, ed.NewNodes...), ed.Rewritten...))
-				if b, err = analyzeFamilyPar(fam, driver, d, &sc, pool, workers); err != nil {
+				if b, err = analyzeFamily(fam, driver, d, &sc); err != nil {
 					return nil, st, err
 				}
 				b.walk = &walk

@@ -153,36 +153,33 @@ func TestApplyObservedMatchesAnalyzeBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2} {
-			label := fmt.Sprintf("%s/w%d", sc.name, workers)
-			b, err := AnalyzeBatch(g, CandidateExprs(g), DriverDFG, nil)
-			if err != nil {
-				t.Fatal(err)
+		b, err := AnalyzeBatch(g, CandidateExprs(g), DriverDFG, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for k := 0; k < b.Len(); k++ {
+			a := b.Analysis(k)
+			want = append(want, fmt.Sprintf("%s redundant=%t", a, a.Redundant()))
+		}
+		var got []string
+		opt, st, err := ApplyObserved(g, DriverDFG, func(as []*Analysis) {
+			for _, a := range as {
+				got = append(got, fmt.Sprintf("%s redundant=%t", a, a.Redundant()))
 			}
-			var want []string
-			for k := 0; k < b.Len(); k++ {
-				a := b.Analysis(k)
-				want = append(want, fmt.Sprintf("%s redundant=%t", a, a.Redundant()))
-			}
-			var got []string
-			opt, st, err := ApplyObserved(g, DriverDFG, workers, func(as []*Analysis) {
-				for _, a := range as {
-					got = append(got, fmt.Sprintf("%s redundant=%t", a, a.Redundant()))
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%s: observed analyses differ from AnalyzeBatch:\n%v\nvs\n%v", label, got, want)
-			}
-			plain, plainSt, err := ApplyPlacedWorkers(g, DriverDFG, PlaceBusy, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if opt.String() != plain.String() || st != plainSt {
-				t.Fatalf("%s: observing changed the transformation: %v vs %v", label, st, plainSt)
-			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: observed analyses differ from AnalyzeBatch:\n%v\nvs\n%v", sc.name, got, want)
+		}
+		plain, plainSt, err := ApplyPlaced(g, DriverDFG, PlaceBusy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opt.String() != plain.String() || st != plainSt {
+			t.Fatalf("%s: observing changed the transformation: %v vs %v", sc.name, st, plainSt)
 		}
 	}
 }

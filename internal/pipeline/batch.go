@@ -37,15 +37,6 @@ func (e *Engine) AnalyzeBatchStream(ctx context.Context, reqs []Request, deliver
 		workers = len(reqs)
 	}
 
-	// Batch slots default to intra=1 — inter-request parallelism already
-	// occupies the pool, and oversubscribing would only add contention.
-	// When the batch cannot fill the pool, the idle workers are handed to
-	// the slots as intra-program parallelism instead.
-	slotIntra := 1
-	if len(reqs) < e.cfg.Workers {
-		slotIntra = e.cfg.Workers / len(reqs)
-	}
-
 	var next atomic.Int64
 	var mu sync.Mutex
 	emit := func(br BatchResult) {
@@ -68,7 +59,7 @@ func (e *Engine) AnalyzeBatchStream(ctx context.Context, reqs []Request, deliver
 					emit(BatchResult{Index: i, Err: err})
 					continue
 				}
-				emit(e.analyzeSlot(ctx, i, reqs[i], slotIntra))
+				emit(e.analyzeSlot(ctx, i, reqs[i]))
 			}
 		}()
 	}
@@ -78,7 +69,7 @@ func (e *Engine) AnalyzeBatchStream(ctx context.Context, reqs []Request, deliver
 // analyzeSlot runs one batch slot with a recover backstop. Analyze already
 // isolates stage panics; this guards the slot against panics anywhere else
 // so one poisoned request can never take down the pool.
-func (e *Engine) analyzeSlot(ctx context.Context, i int, req Request, intra int) (br BatchResult) {
+func (e *Engine) analyzeSlot(ctx context.Context, i int, req Request) (br BatchResult) {
 	br.Index = i
 	defer func() {
 		if r := recover(); r != nil {
@@ -86,6 +77,6 @@ func (e *Engine) analyzeSlot(ctx context.Context, i int, req Request, intra int)
 			br.Err = fmt.Errorf("request %d panicked: %v", i, r)
 		}
 	}()
-	br.Result, br.Err = e.analyzeIntra(ctx, req, intra)
+	br.Result, br.Err = e.Analyze(ctx, req)
 	return br
 }

@@ -152,7 +152,7 @@ func BenchmarkStageCold(b *testing.B) {
 			for i, src := range srcs {
 				res := &Result{src: src, Stages: map[Stage]StageInfo{}}
 				for _, dep := range plan[:len(plan)-1] {
-					v, err := compute(dep, Options{}, res, 1)
+					v, err := compute(dep, Options{}, res)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -164,7 +164,7 @@ func BenchmarkStageCold(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, res := range deps {
-					if _, err := compute(st, Options{}, res, 1); err != nil {
+					if _, err := compute(st, Options{}, res); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -36,7 +36,6 @@ import (
 
 	"dfg/internal/anticip"
 	"dfg/internal/bcfront"
-	"dfg/internal/bitset"
 	"dfg/internal/bytecode"
 	"dfg/internal/cdg"
 	"dfg/internal/cfg"
@@ -286,7 +285,8 @@ func (e *StageError) Unwrap() error { return e.Err }
 
 // Config configures an Engine. The zero value gives GOMAXPROCS workers, a
 // 512-entry report LRU, no persistent store, and a 30-second default
-// request timeout.
+// request timeout. Parallelism is across programs only: a batch runs up to
+// Workers programs at once, and each program's stages run serially.
 type Config struct {
 	Workers        int           // batch worker-pool size; <=0 means GOMAXPROCS
 	DefaultTimeout time.Duration // per-request timeout when Request.Timeout is 0; <=0 means 30s
@@ -298,12 +298,8 @@ type Config struct {
 	// Analyze call computes and DisableCache is ignored.
 	DisableCache bool
 
-	// IntraWorkers bounds intra-program parallelism for a single Analyze
-	// call: the region-parallel DFG build and the word-partitioned solver
-	// fixpoints. <=0 means GOMAXPROCS. Batch slots ignore it — a saturated
-	// worker pool already uses every core on distinct programs, so each slot
-	// runs its stages serially (the outputs are byte-identical either way;
-	// see internal/dfg/parallel.go and internal/anticip/parallel.go).
+	// Deprecated: every stage runs serially within one program, so
+	// IntraWorkers is ignored. Workers parallelizes across programs.
 	IntraWorkers int
 
 	// Store, when set, adds the persistent tier behind AnalyzeReport's
@@ -345,15 +341,6 @@ func New(c Config) *Engine {
 // Workers reports the engine's batch worker-pool size.
 func (e *Engine) Workers() int { return e.cfg.Workers }
 
-// IntraWorkers reports the resolved intra-program worker bound for single
-// Analyze calls.
-func (e *Engine) IntraWorkers() int {
-	if e.cfg.IntraWorkers > 0 {
-		return e.cfg.IntraWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // key returns the content address of (source, options), the prefix of every
 // report key for that pair.
 func key(source string, o Options) string {
@@ -368,12 +355,6 @@ func key(source string, o Options) string {
 // set; the process is never taken down by a malformed program.
 // Cancellation and deadlines on ctx are observed at stage boundaries.
 func (e *Engine) Analyze(ctx context.Context, req Request) (*Result, error) {
-	return e.analyzeIntra(ctx, req, e.IntraWorkers())
-}
-
-// analyzeIntra is Analyze with an explicit intra-program worker bound:
-// single requests get the engine's IntraWorkers, batch slots run with 1.
-func (e *Engine) analyzeIntra(ctx context.Context, req Request, intra int) (*Result, error) {
 	e.metrics.requests.Add(1)
 	stages := req.Stages
 	if len(stages) == 0 {
@@ -401,7 +382,7 @@ func (e *Engine) analyzeIntra(ctx context.Context, req Request, intra int) (*Res
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := e.runStage(st, req, res, intra); err != nil {
+		if err := e.runStage(st, req, res); err != nil {
 			return nil, err
 		}
 	}
@@ -409,10 +390,10 @@ func (e *Engine) analyzeIntra(ctx context.Context, req Request, intra int) (*Res
 }
 
 // runStage computes one stage of one request and updates its metrics.
-func (e *Engine) runStage(st Stage, req Request, res *Result, intra int) error {
+func (e *Engine) runStage(st Stage, req Request, res *Result) error {
 	ab0, ao0 := heapAllocs()
 	start := time.Now()
-	v, err := e.computeStage(st, req, res, intra)
+	v, err := e.computeStage(st, req, res)
 	elapsed := time.Since(start)
 	ab1, ao1 := heapAllocs()
 	m := e.metrics.stage(st)
@@ -433,7 +414,7 @@ func (e *Engine) runStage(st Stage, req Request, res *Result, intra int) error {
 }
 
 // computeStage dispatches to the analysis packages with panic isolation.
-func (e *Engine) computeStage(st Stage, req Request, res *Result, intra int) (v any, err error) {
+func (e *Engine) computeStage(st Stage, req Request, res *Result) (v any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &StageError{Stage: st, Panicked: true, Err: fmt.Errorf("%v", r)}
@@ -442,7 +423,7 @@ func (e *Engine) computeStage(st Stage, req Request, res *Result, intra int) (v 
 	if e.cfg.StageHook != nil {
 		e.cfg.StageHook(st, req.Source)
 	}
-	v, cerr := compute(st, req.Options, res, intra)
+	v, cerr := compute(st, req.Options, res)
 	if cerr != nil {
 		return nil, &StageError{Stage: st, Err: cerr}
 	}
@@ -453,10 +434,8 @@ func (e *Engine) computeStage(st Stage, req Request, res *Result, intra int) (v 
 }
 
 // compute produces the artifact of one stage from its (already installed)
-// dependencies. It must not mutate anything reachable from res. intra
-// bounds intra-program parallelism; every stage's output is byte-identical
-// at any intra value, so report keys are unaffected.
-func compute(st Stage, opts Options, res *Result, intra int) (any, error) {
+// dependencies. It must not mutate anything reachable from res.
+func compute(st Stage, opts Options, res *Result) (any, error) {
 	switch st {
 	case StageParse:
 		switch opts.SourceKind {
@@ -476,7 +455,7 @@ func compute(st Stage, opts Options, res *Result, intra int) (any, error) {
 	case StageCDG:
 		return cdg.BuildFactored(res.CFG), nil
 	case StageDFG:
-		return dfg.BuildParallelWithInfo(res.CFG, res.Regions, intra)
+		return dfg.BuildWithInfo(res.CFG, res.Regions)
 	case StageSSA:
 		out := &SSAResult{Base: ssa.Cytron(res.CFG), Derived: ssa.FromDFG(res.DFG)}
 		if err := ssa.EquivalentOnUses(out.Base, out.Derived); err != nil {
@@ -507,12 +486,7 @@ func compute(st Stage, opts Options, res *Result, intra int) (any, error) {
 		exprs := epr.CandidateExprs(res.CFG)
 		fam := anticip.NewFamily(res.CFG, exprs)
 		var cost dataflow.Counter
-		var ant, pan *bitset.Matrix
-		if intra > 1 {
-			ant, pan = fam.SolveDFGOpsParallel(res.DFG, res.DFG.OpsByVar(), nil, intra, &cost)
-		} else {
-			ant, pan = fam.SolveDFG(res.DFG, &cost)
-		}
+		ant, pan := fam.SolveDFG(res.DFG, &cost)
 		for k, ex := range exprs {
 			ea := ExprAnticip{Expr: ex.String()}
 			for eid := 0; eid < res.CFG.NumEdges(); eid++ {
@@ -530,7 +504,7 @@ func compute(st Stage, opts Options, res *Result, intra int) (any, error) {
 		// PerExpr reports the first round's analyses, which the
 		// transformation solves anyway before its first edit.
 		out := &EPRResult{}
-		opt, st2, err := epr.ApplyObserved(res.CFG, epr.DriverDFG, intra, func(as []*epr.Analysis) {
+		opt, st2, err := epr.ApplyObserved(res.CFG, epr.DriverDFG, func(as []*epr.Analysis) {
 			for _, a := range as {
 				pe := EPRExpr{Expr: a.Expr.String(), Redundant: a.Redundant()}
 				for _, eid := range a.Insert {

@@ -104,11 +104,12 @@ func TestCacheHitsSecondRequest(t *testing.T) {
 	}
 }
 
-// TestDisableCache: the deprecated stage-cache fields are inert. Analyze
-// computes every stage on every call and shares no artifact across calls,
-// and the report LRU serves repeats whatever the fields say.
+// TestDisableCache: the deprecated stage-cache and intra-program fields
+// are inert. Analyze computes every stage on every call and shares no
+// artifact across calls, and the report LRU serves repeats whatever the
+// fields say.
 func TestDisableCache(t *testing.T) {
-	for _, c := range []Config{{}, {DisableCache: true}, {CacheEntries: 1}} {
+	for _, c := range []Config{{}, {DisableCache: true}, {CacheEntries: 1}, {IntraWorkers: 4}} {
 		e := New(c)
 		a := mustAnalyze(t, e, Request{Source: sampleSrc})
 		b := mustAnalyze(t, e, Request{Source: sampleSrc})
@@ -268,7 +269,7 @@ func serialReport(t *testing.T, src string) Report {
 
 func mustCompute(t *testing.T, st Stage, res *Result) any {
 	t.Helper()
-	v, err := compute(st, Options{}, res, 1)
+	v, err := compute(st, Options{}, res)
 	if err != nil {
 		t.Fatalf("stage %s: %v", st, err)
 	}

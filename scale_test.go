@@ -73,9 +73,7 @@ func TestWideAtScale(t *testing.T) {
 		t.Skip("scale test")
 	}
 	// 4000-statement breadth-heavy program: hundreds of sibling SESE
-	// regions and a variable set in the hundreds. This is the shape the
-	// region-parallel builder distributes; the parallel result must match
-	// the serial one exactly even at this size.
+	// regions and a variable set in the hundreds.
 	g, err := cfg.Build(workload.Wide(4000, 13))
 	if err != nil {
 		t.Fatal(err)
@@ -90,13 +88,6 @@ func TestWideAtScale(t *testing.T) {
 	d, err := dfg.BuildWithInfo(g, info)
 	if err != nil {
 		t.Fatal(err)
-	}
-	dp, err := dfg.BuildParallelWithInfo(g, info, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.String() != dp.String() {
-		t.Fatal("parallel DFG differs from serial at scale")
 	}
 	if err := ssa.EquivalentOnUses(ssa.Cytron(g), ssa.FromDFG(d)); err != nil {
 		t.Fatal(err)
