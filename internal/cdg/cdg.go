@@ -138,21 +138,26 @@ type Factored struct {
 // cycle equivalence: a node with a single in-edge shares its in-edge's
 // class (switches, assignments); a node with a single out-edge shares its
 // out-edge's class (merges); start/end belong to the class of start's
-// out-edge. Per-class dependence sets are then filled in from one
-// representative per class using the FOW relation restricted to
-// representatives.
+// out-edge. Per-class dependence sets are then copied from one
+// representative per class out of the full FOW relation, which BuildFOW
+// computes over every node. It runs regions.EdgeClasses itself; a caller
+// that already holds the classes (the pipeline's regions stage) passes them
+// to BuildFactoredWithClasses instead.
 func BuildFactored(g *cfg.Graph) *Factored {
 	edgeClass, _ := regions.EdgeClasses(g)
+	return BuildFactoredWithClasses(g, edgeClass)
+}
 
-	f := &Factored{ClassOf: map[cfg.NodeID]int{}}
-	renum := map[int]int{}
-	classFor := func(ec int) int {
-		c, ok := renum[ec]
-		if !ok {
-			c = len(renum)
-			renum[ec] = c
-		}
-		return c
+// BuildFactoredWithClasses is BuildFactored over precomputed edge classes:
+// edgeClass maps every live edge of g to its control dependence class, as
+// regions.EdgeClasses (or regions.Info.ClassOf) does. It reads edgeClass
+// and never modifies it.
+func BuildFactoredWithClasses(g *cfg.Graph, edgeClass []int) *Factored {
+	f := &Factored{ClassOf: make(map[cfg.NodeID]int, g.NumNodes())}
+	// renum[ec] is the node class of edge class ec, numbered in node order.
+	renum := make([]int, len(edgeClass))
+	for i := range renum {
+		renum[i] = -1
 	}
 	for _, nd := range g.Nodes {
 		var rep cfg.EdgeID = cfg.NoEdge
@@ -177,9 +182,13 @@ func BuildFactored(g *cfg.Graph) *Factored {
 			// occur under the switch/merge discipline.
 			panic(fmt.Sprintf("cdg: node %d has no representative edge", nd.ID))
 		}
-		f.ClassOf[nd.ID] = classFor(edgeClass[rep])
+		ec := edgeClass[rep]
+		if renum[ec] < 0 {
+			renum[ec] = f.NumClasses
+			f.NumClasses++
+		}
+		f.ClassOf[nd.ID] = renum[ec]
 	}
-	f.NumClasses = len(renum)
 	f.Members = make([][]cfg.NodeID, f.NumClasses)
 	for _, nd := range g.Nodes {
 		c := f.ClassOf[nd.ID]
@@ -204,8 +213,9 @@ func BuildFactored(g *cfg.Graph) *Factored {
 }
 
 // PartitionOnly computes just the control-dependence partition of the
-// nodes — the O(E) part of the construction, with no postdominators at all.
-// This is what experiment E8 benchmarks against BuildFOW.
+// nodes — the O(E) part of the construction, with no postdominators at all
+// and no dependence sets. This is what experiment E8 benchmarks against
+// BuildFOW.
 func PartitionOnly(g *cfg.Graph) map[cfg.NodeID]int {
 	edgeClass, _ := regions.EdgeClasses(g)
 	out := make(map[cfg.NodeID]int, g.NumNodes())

@@ -111,22 +111,22 @@ func TestTypeSafe(t *testing.T) {
 		expr string
 		want bool
 	}{
-		{"a + b", true},       // int + int
-		{"a / b", true},       // type-safe; division-by-zero is mayTrap's job
-		{"c + 1", false},      // bool + int traps
-		{"!c", true},          // ! on bool
-		{"!a", false},         // ! on int traps
-		{"-a", true},          // unary minus on int
-		{"-c", false},         // unary minus on bool traps
+		{"a + b", true},  // int + int
+		{"a / b", true},  // type-safe; division-by-zero is mayTrap's job
+		{"c + 1", false}, // bool + int traps
+		{"!c", true},     // ! on bool
+		{"!a", false},    // ! on int traps
+		{"-a", true},     // unary minus on int
+		{"-c", false},    // unary minus on bool traps
 		{"c && (a < b)", true},
-		{"c && a", false},     // && on int traps
-		{"a == b", true},      // int == int
+		{"c && a", false}, // && on int traps
+		{"a == b", true},  // int == int
 		{"c == (a < b)", true},
-		{"c == a", false},     // bool == int traps
-		{"d + 1", false},      // mixed-typed variable in arithmetic
-		{"d == d", false},     // mixed == mixed cannot be proved safe
+		{"c == a", false},          // bool == int traps
+		{"d + 1", false},           // mixed-typed variable in arithmetic
+		{"d == d", false},          // mixed == mixed cannot be proved safe
 		{"undefinedvar + 1", true}, // undefined reads as int 0
-		{"(!0 * 0)", false},   // the FuzzTransform find
+		{"(!0 * 0)", false},        // the FuzzTransform find
 	}
 	for _, tc := range cases {
 		if got := TypeSafe(rhs(t, tc.expr), types); got != tc.want {

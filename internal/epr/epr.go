@@ -523,7 +523,7 @@ var PatchCheck = os.Getenv("EPR_PATCH_CHECK") != ""
 // shared dependence graph is maintained in place across transformations
 // (dfg.PatchEPR), falling back to a full rebuild when a patch fails.
 func ApplyPlaced(g *cfg.Graph, driver Driver, placement Placement) (*cfg.Graph, Stats, error) {
-	return applyPlaced(g, driver, placement, nil)
+	return applyPlaced(g, driver, placement, nil, nil)
 }
 
 // ApplyObserved is ApplyPlaced with busy placement that also hands
@@ -532,15 +532,28 @@ func ApplyPlaced(g *cfg.Graph, driver Driver, placement Placement) (*cfg.Graph, 
 // AnalyzeBatch would return for g, without solving the family a second
 // time. The analyses view the graph the transformation goes on to mutate,
 // so observe must extract what it needs before returning.
-func ApplyObserved(g *cfg.Graph, driver Driver, observe func([]*Analysis)) (*cfg.Graph, Stats, error) {
-	return applyPlaced(g, driver, PlaceBusy, observe)
+//
+// d, when non-nil, is the DFG of g (dfg.Build(g) or dfg.BuildWithInfo over
+// g's regions) that the caller already holds. Under DriverDFG the first
+// round is solved on it, so a program that needs no edit builds no DFG of
+// its own; the first edit switches to a private build of the edited clone,
+// which later edits patch. d's dependence structure is only read, never
+// patched.
+func ApplyObserved(g *cfg.Graph, d *dfg.Graph, driver Driver, observe func([]*Analysis)) (*cfg.Graph, Stats, error) {
+	if d != nil && d.G != g {
+		return nil, Stats{}, fmt.Errorf("epr: the DFG passed to ApplyObserved is not built over the input graph")
+	}
+	return applyPlaced(g, driver, PlaceBusy, d, observe)
 }
 
-func applyPlaced(g *cfg.Graph, driver Driver, placement Placement, observe func([]*Analysis)) (*cfg.Graph, Stats, error) {
+// applyPlaced runs the transformation fixpoint. shared, when non-nil, is a
+// caller-owned DFG of g: it stands in for the clone's DFG until the first
+// edit, and is never patched.
+func applyPlaced(g *cfg.Graph, driver Driver, placement Placement, shared *dfg.Graph, observe func([]*Analysis)) (*cfg.Graph, Stats, error) {
 	out := Clone(g)
 	var st Stats
 	tmp := 0
-	var d *dfg.Graph
+	d := shared
 	var sc anticip.Scratch // solver buffers reused across every re-solve
 	var walk savingWalk    // Redundant's path-walk marks, likewise
 	// Iterate until no expression yields a transformation: replacing an
@@ -604,17 +617,23 @@ func applyPlaced(g *cfg.Graph, driver Driver, placement Placement, observe func(
 			st.Replaced += rep
 			changed = true
 			if driver == DriverDFG {
-				if perr := d.PatchEPR(ed); perr != nil {
-					// The patch left d inconsistent; discard and rebuild.
-					if d, err = dfg.Build(out); err != nil {
-						return nil, st, err
-					}
-					st.DFGRebuilds++
-				} else {
+				patched := false
+				if d != shared {
+					patched = d.PatchEPR(ed) == nil
+				}
+				if patched {
 					st.DFGPatches++
 					if PatchCheck {
 						patchCrossCheck(out, d, exprs)
 					}
+				} else {
+					// A failed patch left d inconsistent, and the shared
+					// graph is the caller's: build a private one of the
+					// edited clone.
+					if d, err = dfg.Build(out); err != nil {
+						return nil, st, err
+					}
+					st.DFGRebuilds++
 				}
 			}
 			// Re-solve the remaining candidates against the mutated graph.

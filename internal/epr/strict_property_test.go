@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dfg/internal/cfg"
+	"dfg/internal/dfg"
 	"dfg/internal/interp"
 	"dfg/internal/lang/ast"
 	"dfg/internal/workload"
@@ -145,8 +146,9 @@ func TestLoopMotionWithoutSavingRejected(t *testing.T) {
 
 // TestApplyObservedMatchesAnalyzeBatch: the first-round analyses handed to
 // ApplyObserved's callback are the ones a separate AnalyzeBatch solve
-// returns for the input graph, and observing changes nothing about the
-// transformation.
+// returns for the input graph, whether the round is solved on a private
+// DFG or on one the caller passes in; observing changes nothing about the
+// transformation, and the passed-in DFG comes back unmodified.
 func TestApplyObservedMatchesAnalyzeBatch(t *testing.T) {
 	for _, sc := range strictCorpus(true) {
 		g, err := cfg.Build(sc.prog)
@@ -162,24 +164,58 @@ func TestApplyObservedMatchesAnalyzeBatch(t *testing.T) {
 			a := b.Analysis(k)
 			want = append(want, fmt.Sprintf("%s redundant=%t", a, a.Redundant()))
 		}
-		var got []string
-		opt, st, err := ApplyObserved(g, DriverDFG, func(as []*Analysis) {
-			for _, a := range as {
-				got = append(got, fmt.Sprintf("%s redundant=%t", a, a.Redundant()))
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%s: observed analyses differ from AnalyzeBatch:\n%v\nvs\n%v", sc.name, got, want)
-		}
 		plain, plainSt, err := ApplyPlaced(g, DriverDFG, PlaceBusy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if opt.String() != plain.String() || st != plainSt {
-			t.Fatalf("%s: observing changed the transformation: %v vs %v", sc.name, st, plainSt)
+		shared := dfg.MustBuild(g)
+		before := shared.String()
+		for _, d := range []*dfg.Graph{nil, shared} {
+			var got []string
+			opt, st, err := ApplyObserved(g, d, DriverDFG, func(as []*Analysis) {
+				for _, a := range as {
+					got = append(got, fmt.Sprintf("%s redundant=%t", a, a.Redundant()))
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s (passed-in DFG %t): observed analyses differ from AnalyzeBatch:\n%v\nvs\n%v",
+					sc.name, d != nil, got, want)
+			}
+			if opt.String() != plain.String() {
+				t.Fatalf("%s (passed-in DFG %t): observing changed the transformation", sc.name, d != nil)
+			}
+			if d == nil {
+				if st != plainSt {
+					t.Fatalf("%s: observing changed the stats: %v vs %v", sc.name, st, plainSt)
+				}
+				continue
+			}
+			// The passed-in graph saves exactly one DFG construction: the
+			// initial build when nothing is edited, else the first patch
+			// (the first edit builds the private graph instead).
+			work, plainWork := st.DFGRebuilds+st.DFGPatches, plainSt.DFGRebuilds+plainSt.DFGPatches
+			st.DFGRebuilds, st.DFGPatches = plainSt.DFGRebuilds, plainSt.DFGPatches
+			if st != plainSt || work != plainWork-1 {
+				t.Fatalf("%s: passed-in DFG: stats %v, want %v with one DFG construction fewer", sc.name, st, plainSt)
+			}
+			if after := shared.String(); after != before {
+				t.Fatalf("%s: ApplyObserved modified the passed-in DFG:\n%s\nvs\n%s", sc.name, after, before)
+			}
 		}
+	}
+}
+
+// TestApplyObservedRejectsForeignDFG: a DFG built over another graph is
+// refused rather than silently solved against.
+func TestApplyObservedRejectsForeignDFG(t *testing.T) {
+	g, err := cfg.Build(workload.NestedSum(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ApplyObserved(g, dfg.MustBuild(Clone(g)), DriverDFG, nil); err == nil {
+		t.Fatal("want an error for a DFG of a different graph")
 	}
 }

@@ -348,33 +348,62 @@ func SCC(d *Directed) (comp []int, n int) {
 
 // Undirected is an undirected multigraph over nodes 0..N-1. Parallel edges
 // and self-loops are permitted and significant (cycle equivalence cares
-// about them). Each edge has an index 0..M-1.
+// about them). Each edge has an index 0..M-1. The graph is a flat edge
+// list; Adjacency derives the compressed (CSR) adjacency in one pass.
 type Undirected struct {
-	N   int
-	Adj [][]Half // Adj[u] lists the edge-halves incident to u
-	M   int
+	N    int
+	M    int
+	ends []int32 // edge e joins ends[2e] and ends[2e+1]
 }
 
 // Half is one endpoint's view of an undirected edge.
 type Half struct {
-	To   int // the other endpoint
-	Edge int // edge index
+	To   int32 // the other endpoint
+	Edge int32 // edge index
 }
 
-// NewUndirected returns an empty undirected graph with n nodes.
-func NewUndirected(n int) *Undirected {
-	return &Undirected{N: n, Adj: make([][]Half, n)}
+// NewUndirected returns an empty undirected graph with n nodes and room
+// for m edges (m is a capacity hint; AddEdge grows past it).
+func NewUndirected(n, m int) *Undirected {
+	return &Undirected{N: n, ends: make([]int32, 0, 2*m)}
 }
 
-// AddEdge appends an undirected edge u—v and returns its index.
+// AddEdge appends an undirected edge a—b and returns its index.
 func (u *Undirected) AddEdge(a, b int) int {
 	id := u.M
 	u.M++
-	u.Adj[a] = append(u.Adj[a], Half{To: b, Edge: id})
-	if a != b {
-		u.Adj[b] = append(u.Adj[b], Half{To: a, Edge: id})
-	}
+	u.ends = append(u.ends, int32(a), int32(b))
 	return id
+}
+
+// Adjacency returns the graph in compressed sparse row form: the halves
+// incident to node x are half[off[x]:off[x+1]], in edge-index order. A
+// self-loop contributes one half; every other edge one half per endpoint.
+func (u *Undirected) Adjacency() (off []int32, half []Half) {
+	off = make([]int32, u.N+1)
+	for e := 0; e < u.M; e++ {
+		a, b := u.ends[2*e], u.ends[2*e+1]
+		off[a+1]++
+		if a != b {
+			off[b+1]++
+		}
+	}
+	for x := 0; x < u.N; x++ {
+		off[x+1] += off[x]
+	}
+	half = make([]Half, off[u.N])
+	next := make([]int32, u.N)
+	copy(next, off)
+	for e := 0; e < u.M; e++ {
+		a, b := u.ends[2*e], u.ends[2*e+1]
+		half[next[a]] = Half{To: b, Edge: int32(e)}
+		next[a]++
+		if a != b {
+			half[next[b]] = Half{To: a, Edge: int32(e)}
+			next[b]++
+		}
+	}
+	return off, half
 }
 
 // Connected reports whether the undirected graph is connected (ignoring
@@ -383,14 +412,15 @@ func (u *Undirected) Connected() bool {
 	if u.N == 0 {
 		return true
 	}
+	off, half := u.Adjacency()
 	seen := make([]bool, u.N)
-	stack := []int{0}
+	stack := []int32{0}
 	seen[0] = true
 	count := 1
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, h := range u.Adj[x] {
+		for _, h := range half[off[x]:off[x+1]] {
 			if !seen[h.To] {
 				seen[h.To] = true
 				count++

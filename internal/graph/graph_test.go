@@ -281,7 +281,7 @@ func TestSCCProperty(t *testing.T) {
 }
 
 func TestUndirectedBasics(t *testing.T) {
-	u := NewUndirected(3)
+	u := NewUndirected(3, 0)
 	e0 := u.AddEdge(0, 1)
 	e1 := u.AddEdge(1, 2)
 	_ = u.AddEdge(2, 2) // self loop
@@ -291,7 +291,15 @@ func TestUndirectedBasics(t *testing.T) {
 	if !u.Connected() {
 		t.Error("graph should be connected")
 	}
-	u2 := NewUndirected(3)
+	// CSR: node 2 sees edge 1 and, once, its self loop.
+	off, half := u.Adjacency()
+	if got := half[off[2]:off[3]]; len(got) != 2 || got[0] != (Half{To: 1, Edge: 1}) || got[1] != (Half{To: 2, Edge: 2}) {
+		t.Errorf("halves of node 2 = %v", got)
+	}
+	if off[3] != 5 {
+		t.Errorf("%d halves, want 5 (two per edge, one per self loop)", off[3])
+	}
+	u2 := NewUndirected(3, 0)
 	u2.AddEdge(0, 1)
 	if u2.Connected() {
 		t.Error("node 2 is isolated")

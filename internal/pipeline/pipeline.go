@@ -10,12 +10,17 @@
 //
 // Stages form a fixed DAG:
 //
-//	parse ─ cfg ─┬─ regions ─ dfg ─┬─ ssa
-//	             ├─ cdg            ├─ constprop
-//	             ├─ exec           ├─ anticip
-//	             │                 └─ epr
+//	parse ─ cfg ─┬─ regions ─┬─ cdg
+//	             │           └─ dfg ─┬─ ssa
+//	             ├─ exec             ├─ constprop
+//	             │                   ├─ anticip
+//	             │                   └─ epr
 //
-// Requesting a stage implies its dependencies. The exec stage — the
+// Requesting a stage implies its dependencies. The regions stage computes
+// the program's cycle-equivalence classes and PST once: cdg and dfg both
+// build on them, and epr starts from the dfg stage's graph, so a request
+// runs regions.EdgeClasses once, and builds one DFG unless EPR edits the
+// program. The exec stage — the
 // differential execution oracle of internal/oracle — is on-demand only:
 // it is excluded from AllStages because its artifact depends on the
 // request's input vector, not on the program alone. Every stage result is
@@ -79,7 +84,7 @@ var stageDeps = map[Stage][]Stage{
 	StageParse:     nil,
 	StageCFG:       {StageParse},
 	StageRegions:   {StageCFG},
-	StageCDG:       {StageCFG},
+	StageCDG:       {StageCFG, StageRegions},
 	StageDFG:       {StageCFG, StageRegions},
 	StageSSA:       {StageCFG, StageDFG},
 	StageConstprop: {StageCFG, StageDFG},
@@ -453,7 +458,7 @@ func compute(st Stage, opts Options, res *Result) (any, error) {
 	case StageRegions:
 		return regions.Analyze(res.CFG)
 	case StageCDG:
-		return cdg.BuildFactored(res.CFG), nil
+		return cdg.BuildFactoredWithClasses(res.CFG, res.Regions.ClassOf), nil
 	case StageDFG:
 		return dfg.BuildWithInfo(res.CFG, res.Regions)
 	case StageSSA:
@@ -502,9 +507,11 @@ func compute(st Stage, opts Options, res *Result) (any, error) {
 		return out, nil
 	case StageEPR:
 		// PerExpr reports the first round's analyses, which the
-		// transformation solves anyway before its first edit.
+		// transformation solves anyway before its first edit. They are
+		// solved on the dfg stage's graph, which EPR reads and never
+		// patches: only an edit makes it build a DFG of its own.
 		out := &EPRResult{}
-		opt, st2, err := epr.ApplyObserved(res.CFG, epr.DriverDFG, func(as []*epr.Analysis) {
+		opt, st2, err := epr.ApplyObserved(res.CFG, res.DFG, epr.DriverDFG, func(as []*epr.Analysis) {
 			for _, a := range as {
 				pe := EPRExpr{Expr: a.Expr.String(), Redundant: a.Redundant()}
 				for _, eid := range a.Insert {

@@ -20,6 +20,10 @@
 // the details are omitted") and that the same authors published in full as
 // the Program Structure Tree paper (Johnson, Pearson & Pingali, PLDI 1994).
 // Notably, the construction requires neither dominators nor postdominators.
+// EdgeClasses builds G' in contracted form: the node n of each split and the
+// dummy node of each CFG edge have degree 2, so the paths through them
+// collapse to single edges without changing any class, leaving two
+// undirected nodes per CFG node and one undirected edge per CFG edge.
 //
 // On top of the equivalence classes, the package derives canonical
 // single-entry single-exit (SESE) regions — consecutive same-class edges in
@@ -32,75 +36,6 @@ import (
 	"dfg/internal/graph"
 )
 
-// bracket is an entry in a bracket list: a real backedge or a capping
-// backedge of the cycle-equivalence DFS. Brackets live in doubly-linked
-// lists that support O(1) concatenation and deletion.
-type bracket struct {
-	prev, next *bracket
-
-	capping bool
-	edge    int // undirected edge index (real backedges only)
-
-	// recentSize/recentClass memoize the (top bracket, set size) → class
-	// assignment rule.
-	recentSize  int
-	recentClass int
-
-	// class is the equivalence class of the backedge itself, assigned when
-	// it is the sole bracket of some tree edge, or fresh on retirement.
-	class int
-}
-
-// bracketList is a doubly-linked list with O(1) push, delete and concat.
-type bracketList struct {
-	head, tail *bracket
-	size       int
-}
-
-func (l *bracketList) push(b *bracket) {
-	b.prev = nil
-	b.next = l.head
-	if l.head != nil {
-		l.head.prev = b
-	}
-	l.head = b
-	if l.tail == nil {
-		l.tail = b
-	}
-	l.size++
-}
-
-func (l *bracketList) delete(b *bracket) {
-	if b.prev != nil {
-		b.prev.next = b.next
-	} else {
-		l.head = b.next
-	}
-	if b.next != nil {
-		b.next.prev = b.prev
-	} else {
-		l.tail = b.prev
-	}
-	b.prev, b.next = nil, nil
-	l.size--
-}
-
-// concat moves all elements of other onto the bottom of l, emptying other.
-func (l *bracketList) concat(other *bracketList) {
-	if other.size == 0 {
-		return
-	}
-	if l.size == 0 {
-		l.head, l.tail, l.size = other.head, other.tail, other.size
-	} else {
-		l.tail.next = other.head
-		other.head.prev = l.tail
-		l.tail = other.tail
-		l.size += other.size
-	}
-	other.head, other.tail, other.size = nil, nil, 0
-}
-
 // UndirectedCycleEquiv computes cycle-equivalence classes for the edges of a
 // connected undirected multigraph: edges a and b are in the same class iff
 // every cycle containing a also contains b and vice versa. Bridge edges
@@ -108,240 +43,233 @@ func (l *bracketList) concat(other *bracketList) {
 // vacuously. The result maps edge index → class id, and the number of
 // classes. Runs in O(N+M).
 func UndirectedCycleEquiv(u *graph.Undirected) ([]int, int) {
-	n := u.N
-	if n == 0 {
-		return nil, 0
+	off, half := u.Adjacency()
+	classes := make([]int32, u.M)
+	num := cycleEquiv(u.N, off, half, classes)
+	out := make([]int, u.M)
+	for e, c := range classes {
+		out[e] = int(c)
 	}
+	return out, num
+}
 
-	// --- undirected DFS from node 0, recording tree structure -----------
+// cycleEquiv is the bracket-set depth-first search over a CSR adjacency
+// (see graph.Undirected.Adjacency). It writes every edge's class into
+// classOf and returns the number of classes.
+//
+// All working state lives in one int32 arena. Brackets are numbered, not
+// allocated: a real backedge is bracket e (its edge index, e < M), and the
+// capping backedge created at the node with preorder number i is bracket
+// M+i. Bracket lists are doubly linked through the prev/next arrays and
+// addressed by per-node head/tail/size, so push, delete and concat are O(1)
+// index updates. Children and backedges are read straight off the
+// adjacency: the tree edge to a child w is parentEdge[w], and every other
+// non-loop edge joins a node to one of its DFS ancestors.
+func cycleEquiv(n int, off []int32, half []graph.Half, classOf []int32) int {
+	if n == 0 {
+		return 0
+	}
+	m := len(classOf)
+	nb := m + n // bracket slots: real backedges, then one capping slot per node
+	arena := make([]int32, 9*n+6*nb)
+	carve := func(k int) []int32 {
+		s := arena[:k:k]
+		arena = arena[k:]
+		return s
+	}
 	const none = -1
-	dfsnum := make([]int, n)
-	parent := make([]int, n)     // DFS tree parent
-	parentEdge := make([]int, n) // edge index used to reach the node
-	order := make([]int, 0, n)   // nodes in preorder
+	dfsnum := carve(n)     // node → preorder number
+	order := carve(n)      // preorder number → node
+	parentEdge := carve(n) // edge index of the tree edge to the DFS parent
+	iter := carve(n)       // DFS cursor into the node's halves
+	stack := carve(n)
+	hi := carve(n) // highest (smallest dfsnum) node reached from the subtree
+	head, tail, size := carve(n), carve(n), carve(n)
+	prev, next := carve(nb), carve(nb)
+	recentSize, recentClass := carve(nb), carve(nb)
+	class := carve(nb)   // a bracket's own class once known
+	capNext := carve(nb) // links the capping brackets that end at one node
+
 	for i := range dfsnum {
 		dfsnum[i] = none
-		parent[i] = none
-		parentEdge[i] = none
+		head[i], tail[i] = none, none
 	}
-	type frame struct {
-		node int
-		iter int
+	for i := range recentSize {
+		recentSize[i] = none
+		class[i] = none
 	}
-	stack := []frame{{0, 0}}
-	dfsnum[0] = 0
-	order = append(order, 0)
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		adj := u.Adj[f.node]
-		if f.iter < len(adj) {
-			h := adj[f.iter]
-			f.iter++
-			if dfsnum[h.To] == none {
-				dfsnum[h.To] = len(order)
-				order = append(order, h.To)
-				parent[h.To] = f.node
-				parentEdge[h.To] = h.Edge
-				stack = append(stack, frame{h.To, 0})
-			}
+	for i := range classOf {
+		classOf[i] = none
+	}
+
+	// --- undirected DFS from node 0, recording the tree ------------------
+	dfsnum[0], order[0], parentEdge[0], iter[0] = 0, 0, none, off[0]
+	stack[0] = 0
+	sp, seen := 1, int32(1)
+	for sp > 0 {
+		v := stack[sp-1]
+		if iter[v] == off[v+1] {
+			sp--
 			continue
 		}
-		stack = stack[:len(stack)-1]
+		h := half[iter[v]]
+		iter[v]++
+		if dfsnum[h.To] == none {
+			w := h.To
+			dfsnum[w], order[seen], parentEdge[w], iter[w] = seen, w, h.Edge, off[w]
+			seen++
+			stack[sp] = w
+			sp++
+		}
 	}
-	if len(order) != n {
+	if int(seen) != n {
 		panic("regions: undirected graph not connected")
 	}
 
-	isTree := make([]bool, u.M)
-	for v := 0; v < n; v++ {
-		if parentEdge[v] != none {
-			isTree[parentEdge[v]] = true
+	// The DFS is done with iter; it now heads each node's list of capping
+	// brackets that end there.
+	capTo := iter
+	for i := range capTo {
+		capTo[i] = none
+	}
+
+	nextClass := int32(0)
+	newClass := func() int32 { c := nextClass; nextClass++; return c }
+	bridgeClass := int32(none) // shared class of all bracket-less tree edges
+
+	push := func(v, b int32) {
+		prev[b], next[b] = none, head[v]
+		if head[v] != none {
+			prev[head[v]] = b
+		} else {
+			tail[v] = b
 		}
+		head[v] = b
+		size[v]++
 	}
-
-	// Classify non-tree edges as backedges (descendant, ancestor) and index
-	// them by both endpoints. In an undirected DFS every non-tree edge
-	// joins an ancestor/descendant pair; with a multigraph a parallel copy
-	// of a tree edge is a backedge bracketing that tree edge, and a self
-	// loop brackets nothing.
-	children := make([][]int, n) // tree children
-	for v := 0; v < n; v++ {
-		if parent[v] != none {
-			children[parent[v]] = append(children[parent[v]], v)
+	remove := func(v, b int32) {
+		if prev[b] != none {
+			next[prev[b]] = next[b]
+		} else {
+			head[v] = next[b]
 		}
-	}
-
-	backsFrom := make([][]*bracket, n) // backedges (d,a) indexed by d
-	backsTo := make([][]*bracket, n)   // indexed by a
-	brackets := make([]*bracket, u.M)  // edge index → bracket (backedges only)
-	selfLoop := make([]bool, u.M)
-
-	// Enumerate each undirected edge once via adjacency of the endpoint
-	// with smaller dfsnum (ancestor side stores it too; dedupe by edge id).
-	seenEdge := make([]bool, u.M)
-	for v := 0; v < n; v++ {
-		for _, h := range u.Adj[v] {
-			if seenEdge[h.Edge] {
-				continue
-			}
-			seenEdge[h.Edge] = true
-			if isTree[h.Edge] {
-				continue
-			}
-			a, b := v, h.To
-			if a == b {
-				selfLoop[h.Edge] = true
-				continue
-			}
-			// descendant is the endpoint with larger dfsnum
-			d, anc := a, b
-			if dfsnum[d] < dfsnum[anc] {
-				d, anc = anc, d
-			}
-			br := &bracket{edge: h.Edge, recentSize: -1, class: -1}
-			brackets[h.Edge] = br
-			backsFrom[d] = append(backsFrom[d], br)
-			backsTo[anc] = append(backsTo[anc], br)
+		if next[b] != none {
+			prev[next[b]] = prev[b]
+		} else {
+			tail[v] = prev[b]
 		}
+		size[v]--
 	}
-	// Record endpoints per edge for hi computation.
-	endA := make([]int, u.M)
-	endB := make([]int, u.M)
-	for i := range endA {
-		endA[i], endB[i] = none, none
-	}
-	for v := 0; v < n; v++ {
-		for _, h := range u.Adj[v] {
-			if endA[h.Edge] == none {
-				endA[h.Edge] = v
-				endB[h.Edge] = h.To
-			}
+	// concat moves c's list onto the bottom of v's.
+	concat := func(v, c int32) {
+		if size[c] == 0 {
+			return
 		}
+		if size[v] == 0 {
+			head[v], tail[v] = head[c], tail[c]
+		} else {
+			next[tail[v]] = head[c]
+			prev[head[c]] = tail[v]
+			tail[v] = tail[c]
+		}
+		size[v] += size[c]
 	}
-
-	nextClass := 0
-	newClass := func() int { c := nextClass; nextClass++; return c }
-
-	classOf := make([]int, u.M)
-	for i := range classOf {
-		classOf[i] = -1
-	}
-
-	hi := make([]int, n)
-	blist := make([]*bracketList, n)
-	cappingTo := make([][]*bracket, n) // capping backedges ending at node
-
-	bridgeClass := -1 // shared class for all bridge (bracket-less) tree edges
 
 	// --- main pass: nodes in reverse preorder (children before parents) --
+	const maxInt = int32(^uint32(0) >> 1)
 	for i := n - 1; i >= 0; i-- {
 		v := order[i]
+		dv := int32(i)
+		pe := parentEdge[v]
+		adj := half[off[v]:off[v+1]]
 
-		// hi0: highest (smallest dfsnum) destination of backedges from v.
-		hi0 := int(^uint(0) >> 1) // maxint
-		for _, br := range backsFrom[v] {
-			a, b := endA[br.edge], endB[br.edge]
-			anc := a
-			if b != v {
-				anc = b
-			}
-			// For a backedge with both endpoints v (impossible here since
-			// self loops were filtered), anc stays a.
-			if dfsnum[anc] < hi0 {
-				hi0 = dfsnum[anc]
-			}
-		}
-		// hi1: min hi over children; hi2: second min.
-		hi1, hi2 := int(^uint(0)>>1), int(^uint(0)>>1)
-		for _, c := range children[v] {
-			if hi[c] < hi1 {
-				hi1, hi2 = hi[c], hi1
-			} else if hi[c] < hi2 {
-				hi2 = hi[c]
+		// hi0: highest backedge target from v; hi1, hi2: the two highest
+		// child hi values. Children's bracket lists are concatenated as
+		// they are met.
+		hi0, hi1, hi2 := maxInt, maxInt, maxInt
+		for _, h := range adj {
+			w, e := h.To, h.Edge
+			switch {
+			case e == pe || w == v:
+				// v's own tree edge; self loops bracket nothing.
+			case e == parentEdge[w]:
+				if hw := hi[w]; hw < hi1 {
+					hi1, hi2 = hw, hi1
+				} else if hw < hi2 {
+					hi2 = hw
+				}
+				concat(v, w)
+			case dfsnum[w] < dv && dfsnum[w] < hi0:
+				hi0 = dfsnum[w]
 			}
 		}
-		if hi0 < hi1 {
-			hi[v] = hi0
-		} else {
+		hi[v] = hi0
+		if hi1 < hi0 {
 			hi[v] = hi1
 		}
 
-		// Build bracket list: concat children, delete brackets ending here,
-		// push brackets starting here, maybe push a capping bracket.
-		bl := &bracketList{}
-		for _, c := range children[v] {
-			bl.concat(blist[c])
+		// Delete capping brackets and backedges ending here, then push
+		// backedges starting here, then maybe a capping bracket.
+		for b := capTo[v]; b != none; b = capNext[b] {
+			remove(v, b)
 		}
-		blist[v] = bl
-
-		for _, br := range cappingTo[v] {
-			bl.delete(br)
-		}
-		for _, br := range backsTo[v] {
-			bl.delete(br)
-			if br.class == -1 {
-				br.class = newClass()
+		for _, h := range adj {
+			if w, e := h.To, h.Edge; dfsnum[w] > dv && e != parentEdge[w] {
+				remove(v, e)
+				if class[e] == none {
+					class[e] = newClass()
+				}
+				classOf[e] = class[e]
 			}
-			classOf[br.edge] = br.class
 		}
-		for _, br := range backsFrom[v] {
-			bl.push(br)
+		for _, h := range adj {
+			if w, e := h.To, h.Edge; dfsnum[w] < dv && e != pe {
+				push(v, e)
+			}
 		}
-		if hi2 < dfsnum[v] {
+		if hi2 < dv {
 			// Two children reach above v: cap with a virtual backedge from
 			// v to the node at dfsnum hi2.
-			d := &bracket{capping: true, recentSize: -1, class: -1}
+			b := int32(m) + dv
 			target := order[hi2]
-			cappingTo[target] = append(cappingTo[target], d)
-			bl.push(d)
+			capNext[b] = capTo[target]
+			capTo[target] = b
+			push(v, b)
 		}
 
-		// Assign class to the tree edge (parent(v), v).
-		if parent[v] == none {
+		// Assign the class of the tree edge (parent(v), v).
+		if pe == none {
 			continue
 		}
-		e := parentEdge[v]
-		if bl.size == 0 {
+		if size[v] == 0 {
 			// Bridge edge: on no cycle; all bridges are (vacuously)
 			// mutually cycle equivalent.
-			if bridgeClass == -1 {
+			if bridgeClass == none {
 				bridgeClass = newClass()
 			}
-			classOf[e] = bridgeClass
+			classOf[pe] = bridgeClass
 			continue
 		}
-		b := bl.head
-		if b.recentSize != bl.size {
-			b.recentSize = bl.size
-			b.recentClass = newClass()
+		b := head[v]
+		if recentSize[b] != size[v] {
+			recentSize[b] = size[v]
+			recentClass[b] = newClass()
 		}
-		classOf[e] = b.recentClass
-		if b.recentSize == 1 {
+		classOf[pe] = recentClass[b]
+		if recentSize[b] == 1 {
 			// Tree edge and its sole bracket are cycle equivalent.
-			b.class = classOf[e]
+			class[b] = classOf[pe]
 		}
 	}
 
-	// Self loops: each forms exactly the one cycle consisting of itself, so
-	// each is alone in its class.
-	for e := 0; e < u.M; e++ {
-		if selfLoop[e] {
+	// Self loops form exactly the one cycle consisting of themselves, so
+	// each is alone in its class; every other edge was classified above.
+	for e := range classOf {
+		if classOf[e] == none {
 			classOf[e] = newClass()
 		}
 	}
-
-	// Any backedge never retired (cannot happen in a connected graph, but
-	// keep the invariant that all edges are classified).
-	for e := 0; e < u.M; e++ {
-		if classOf[e] == -1 {
-			if brackets[e] != nil && brackets[e].class != -1 {
-				classOf[e] = brackets[e].class
-			} else {
-				classOf[e] = newClass()
-			}
-		}
-	}
-	return classOf, nextClass
+	return int(nextClass)
 }
 
 // sanity check helper exposed for tests.

@@ -14,73 +14,70 @@ import (
 // time. Dead edges map to -1. Two edges receive the same class iff they
 // have the same control dependence, which by Theorem 1 holds iff each
 // dominance-consecutive pair of them bounds a single-entry single-exit
-// region.
+// region. Classes are numbered densely in order of first appearance over
+// the live edges, ascending by edge ID.
 func EdgeClasses(g *cfg.Graph) (classOf []int, numClasses int) {
-	live := g.LiveEdges()
 	classOf = newEdgeTable(g)
-	if len(live) == 0 {
+	live := 0
+	for _, e := range g.Edges {
+		if !e.Dead {
+			live++
+		}
+	}
+	if live == 0 {
 		return classOf, 0
 	}
 
-	// Step 1 (Claim 1): form the strongly connected graph S by taking the
-	// split graph (a dummy node per CFG edge) plus dummies' chain for the
-	// augmenting edge end→start.
+	// Claims 1 and 2 give the undirected graph G': a dummy node per CFG
+	// edge plus one for the augmenting edge end→start, every node x split
+	// into the path x_in — x — x_out, each directed edge u→v undirected as
+	// u_out — v_in. Every x and every dummy's split triple has degree 2 in
+	// G', and replacing a path through degree-2 nodes by a single edge maps
+	// cycles one-to-one, so it keeps every class. The graph built here is
+	// G' with those paths contracted (the node expansion of Johnson,
+	// Pearson & Pingali):
 	//
-	// S's positional layout:
-	//   0..N-1                the CFG nodes
-	//   N+i (i = live index)  the dummy node for live edge live[i]
-	//   N+len(live)           the dummy node for the end→start edge
+	//   x_in = 2x, x_out = 2x+1              for each CFG node x
+	//   edge x:      x_in — x_out            (the node itself)
+	//   edge n+i:    u_out — v_in            (the i-th live edge u→v)
+	//   edge n+live: end_out — start_in      (the augmenting edge)
+	//
+	// A CFG edge's class is the class of its contracted edge.
 	n := g.NumNodes()
-	dummyIndex := make(map[cfg.EdgeID]int, len(live))
-	for i, e := range live {
-		dummyIndex[e] = n + i
+	und := graph.NewUndirected(2*n, n+live+1)
+	for x := 0; x < n; x++ {
+		und.AddEdge(2*x, 2*x+1)
 	}
-	sN := n + len(live) + 1
-	endStartDummy := sN - 1
-
-	type dedge struct{ u, v int }
-	var sEdges []dedge
-	for i, eid := range live {
-		e := g.Edge(eid)
-		sEdges = append(sEdges,
-			dedge{int(e.Src), n + i},
-			dedge{n + i, int(e.Dst)})
-	}
-	sEdges = append(sEdges,
-		dedge{int(g.End), endStartDummy},
-		dedge{endStartDummy, int(g.Start)})
-
-	// Step 2 (Claim 2): split every node x of S into x_in, x, x_out with
-	// directed edges x_in→x→x_out, re-route S's edges u→v as u_out→v_in,
-	// then undirect. Layout: x_in = 3x, x = 3x+1, x_out = 3x+2.
-	und := graph.NewUndirected(3 * sN)
-	inEdgeOf := make([]int, sN) // undirected index of (x_in — x)
-	for x := 0; x < sN; x++ {
-		inEdgeOf[x] = und.AddEdge(3*x, 3*x+1)
-		und.AddEdge(3*x+1, 3*x+2)
-	}
-	for _, e := range sEdges {
-		und.AddEdge(3*e.u+2, 3*e.v)
-	}
-
-	// Step 3: undirected cycle equivalence; a CFG edge's class is the class
-	// of the (dummy_in — dummy) edge, since the dummy has degree 2 and so
-	// node cycle equivalence of dummies equals edge cycle equivalence of
-	// their in-halves.
-	classes, _ := UndirectedCycleEquiv(und)
-
-	// Renumber densely over the classes that actually label CFG edges.
-	renum := map[int]int{}
-	for _, eid := range live {
-		c := classes[inEdgeOf[dummyIndex[eid]]]
-		nc, ok := renum[c]
-		if !ok {
-			nc = len(renum)
-			renum[c] = nc
+	for _, e := range g.Edges {
+		if !e.Dead {
+			und.AddEdge(2*int(e.Src)+1, 2*int(e.Dst))
 		}
-		classOf[eid] = nc
 	}
-	return classOf, len(renum)
+	und.AddEdge(2*int(g.End)+1, 2*int(g.Start))
+
+	off, half := und.Adjacency()
+	classes := make([]int32, und.M)
+	num := cycleEquiv(und.N, off, half, classes)
+
+	// Renumber densely over the classes that label live CFG edges.
+	renum := make([]int32, num)
+	for i := range renum {
+		renum[i] = -1
+	}
+	i := n
+	for _, e := range g.Edges {
+		if e.Dead {
+			continue
+		}
+		c := classes[i]
+		i++
+		if renum[c] < 0 {
+			renum[c] = int32(numClasses)
+			numClasses++
+		}
+		classOf[e.ID] = int(renum[c])
+	}
+	return classOf, numClasses
 }
 
 // Region is a canonical single-entry single-exit region: the subgraph

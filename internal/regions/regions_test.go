@@ -20,7 +20,7 @@ func build(t *testing.T, src string) *cfg.Graph {
 
 func TestUndirectedCycleEquivTriangle(t *testing.T) {
 	// Triangle: all three edges lie on exactly the same (single) cycle.
-	u := graph.NewUndirected(3)
+	u := graph.NewUndirected(3, 0)
 	u.AddEdge(0, 1)
 	u.AddEdge(1, 2)
 	u.AddEdge(2, 0)
@@ -36,7 +36,7 @@ func TestUndirectedCycleEquivTriangle(t *testing.T) {
 func TestUndirectedCycleEquivTwoTriangles(t *testing.T) {
 	// Two triangles sharing node 0: edges of different triangles are not
 	// cycle equivalent.
-	u := graph.NewUndirected(5)
+	u := graph.NewUndirected(5, 0)
 	a := u.AddEdge(0, 1)
 	u.AddEdge(1, 2)
 	u.AddEdge(2, 0)
@@ -52,7 +52,7 @@ func TestUndirectedCycleEquivTwoTriangles(t *testing.T) {
 func TestUndirectedCycleEquivBridge(t *testing.T) {
 	// Path 0-1-2 plus triangle at 2: the two path edges are bridges and
 	// share the bridge class; triangle edges share another class.
-	u := graph.NewUndirected(5)
+	u := graph.NewUndirected(5, 0)
 	b0 := u.AddEdge(0, 1)
 	b1 := u.AddEdge(1, 2)
 	t0 := u.AddEdge(2, 3)
@@ -74,7 +74,7 @@ func TestUndirectedCycleEquivParallelEdges(t *testing.T) {
 	// Two parallel edges form a 2-cycle; both are cycle equivalent to each
 	// other iff every cycle through one contains the other. With a third
 	// node hanging off, the parallel pair is its own cycle.
-	u := graph.NewUndirected(2)
+	u := graph.NewUndirected(2, 0)
 	p0 := u.AddEdge(0, 1)
 	p1 := u.AddEdge(0, 1)
 	classes, _ := UndirectedCycleEquiv(u)
@@ -87,7 +87,7 @@ func TestUndirectedCycleEquivTheta(t *testing.T) {
 	// Theta graph: nodes 0,1 joined by three internally disjoint paths of
 	// length 2. Every pair of paths forms a cycle, so no two edges of
 	// different paths are equivalent, but the two edges of one path are.
-	u := graph.NewUndirected(5)
+	u := graph.NewUndirected(5, 0)
 	a0 := u.AddEdge(0, 2)
 	a1 := u.AddEdge(2, 1)
 	b0 := u.AddEdge(0, 3)
