@@ -33,6 +33,13 @@ type testWorker struct {
 // slowdown > 0 delays every item (for in-flight/dedup tests).
 func startTestWorker(t *testing.T, dir string, slowdown time.Duration) *testWorker {
 	t.Helper()
+	return startStraggler(t, dir, slowdown, nil)
+}
+
+// startStraggler is startTestWorker with the slowdown applied only to the
+// programs in slow; a nil set delays every item.
+func startStraggler(t *testing.T, dir string, slowdown time.Duration, slow map[string]bool) *testWorker {
+	t.Helper()
 	cfg := pipeline.Config{}
 	if dir != "" {
 		st, err := store.Open(dir, store.Options{Schema: pipeline.ReportSchemaVersion, NoSync: true})
@@ -46,7 +53,9 @@ func startTestWorker(t *testing.T, dir string, slowdown time.Duration) *testWork
 	if slowdown > 0 {
 		inner := h
 		h = func(ctx context.Context, item wire.Item) wire.Result {
-			time.Sleep(slowdown)
+			if slow == nil || slow[item.Program] {
+				time.Sleep(slowdown)
+			}
 			return inner(ctx, item)
 		}
 	}

@@ -10,8 +10,8 @@
 // on-disk artifact store so warm traffic survives restarts.
 //
 // Frontier (-backends): the process becomes the serving frontier of a
-// sharded deployment. Programs are consistent-hash routed over the wire
-// protocol to dfg-worker backends, identical in-flight requests are
+// sharded deployment. Programs are routed by rendezvous hash over the
+// wire protocol to dfg-worker backends, identical in-flight requests are
 // deduplicated (singleflight), backends are health-checked, and a failed
 // backend is retried transparently on the next replica:
 //
@@ -33,7 +33,7 @@
 //	GET  /debug/vars      expvar ("pipeline", plus "frontier" when sharded)
 //	GET  /admin/backends  current backend set (frontier mode only)
 //	POST /admin/backends  {"action":"add","name":"w4","addr":"host:port"} or
-//	                      {"action":"remove","name":"w4"} — hot ring rebalance
+//	                      {"action":"remove","name":"w4"} — hot rebalance
 //
 // Flags:
 //
@@ -107,9 +107,9 @@ func main() {
 	var front *frontier.Frontier
 	if *flagBackends != "" {
 		// Each entry is "addr" or "name=addr". A name pins the backend's
-		// consistent-hash ring identity, so a worker that restarts on a
-		// different address keeps owning the same keyspace slice (and
-		// keeps hitting its own artifact store).
+		// placement identity, so a worker that restarts on a different
+		// address keeps owning the same keys (and keeps hitting its own
+		// artifact store).
 		var addrs, names []string
 		for _, entry := range strings.Split(*flagBackends, ",") {
 			entry = strings.TrimSpace(entry)

@@ -8,6 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -37,6 +40,91 @@ func startFrontierWith(t *testing.T, cfg frontier.Config, workers ...*testWorker
 	ts := httptest.NewServer(newMux(pipeline.New(pipeline.Config{}), serverOptions{Frontier: f}))
 	t.Cleanup(ts.Close)
 	return ts, f
+}
+
+// phase is one replay of a program set through the HTTP edge.
+type phase struct {
+	lat   []time.Duration // every request's latency, ascending
+	tiers map[string]int  // answers by serving tier
+}
+
+func (p phase) p50() time.Duration { return p.lat[len(p.lat)/2] }
+func (p phase) p99() time.Duration { return p.lat[(len(p.lat)-1)*99/100] }
+
+// replay sends every program rounds times through ts from clients
+// concurrent clients, and checks what every phase must show: each request
+// answered without error, and latencies with p99 >= p50 > 0.
+func replay(t *testing.T, ts *httptest.Server, programs []string, rounds, clients int) phase {
+	t.Helper()
+	ph := phase{tiers: map[string]int{}}
+	var mu sync.Mutex
+	var errs []string
+	jobs := make(chan string)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for body := range jobs {
+				start := time.Now()
+				out, err := post(ts, body)
+				d := time.Since(start)
+				mu.Lock()
+				ph.lat = append(ph.lat, d)
+				if err == nil {
+					ph.tiers[out.Tier]++
+				} else {
+					errs = append(errs, err.Error())
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	for r := 0; r < rounds; r++ {
+		for _, src := range programs {
+			jobs <- reqBody(t, analyzeRequest{Program: src})
+		}
+	}
+	close(jobs)
+	wg.Wait()
+	if len(errs) > 0 {
+		t.Fatalf("%d of %d requests failed, first: %s", len(errs), len(ph.lat), errs[0])
+	}
+	if want := rounds * len(programs); len(ph.lat) != want {
+		t.Fatalf("%d requests answered, want %d", len(ph.lat), want)
+	}
+	sort.Slice(ph.lat, func(a, b int) bool { return ph.lat[a] < ph.lat[b] })
+	if ph.p50() <= 0 || ph.p99() < ph.p50() {
+		t.Fatalf("implausible latencies: p50=%v p99=%v", ph.p50(), ph.p99())
+	}
+	return ph
+}
+
+// post is postAnalyze for client goroutines: it reports a failed request
+// as an error instead of failing the test.
+func post(ts *httptest.Server, body string) (analyzeResponse, error) {
+	var out analyzeResponse
+	resp, err := http.Post(ts.URL+"/analyze", "application/json", strings.NewReader(body))
+	if err != nil {
+		return out, err
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return out, fmt.Errorf("decode response: %w", err)
+	}
+	if resp.StatusCode != http.StatusOK || !out.OK {
+		return out, fmt.Errorf("status=%d error=%q", resp.StatusCode, out.Error)
+	}
+	return out, nil
+}
+
+// mixedPrograms returns n distinct workload.Mixed(size, seed+i) programs.
+func mixedPrograms(n, size int, seed int64) []string {
+	programs := make([]string, n)
+	for i := range programs {
+		programs[i] = workload.Mixed(size, seed+int64(i)).String()
+	}
+	return programs
 }
 
 // TestReplicationDifferential: a batch served by frontier + 3 workers at
@@ -112,11 +200,65 @@ func TestReplicationDifferential(t *testing.T) {
 	}
 }
 
+// TestFleetRestartServesFromStore is the persistence acceptance criterion
+// for a whole fleet: 3 store-backed workers at R=2 serve cold traffic, then
+// every worker is rebuilt with a fresh engine (empty report LRU) on its old
+// store directory, behind a new frontier that knows them by the same
+// names. The replay is answered entirely off disk and the LRUs: no
+// compute-tier answer, at least one store-tier answer, no error, and every
+// store lookup a hit.
+func TestFleetRestartServesFromStore(t *testing.T) {
+	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
+	cfg := frontier.Config{Replicas: 2, Names: []string{"w1", "w2", "w3"}}
+	programs := mixedPrograms(10, 8, 42)
+
+	var cold []*testWorker
+	for _, d := range dirs {
+		cold = append(cold, startTestWorker(t, d, 0))
+	}
+	ts, f := startFrontierWith(t, cfg, cold...)
+	ph := replay(t, ts, programs, 2, 4)
+	if ph.tiers[string(pipeline.TierCompute)] < len(programs) {
+		t.Fatalf("cold phase computed %d answers, want >= %d (one per distinct program): %v",
+			ph.tiers[string(pipeline.TierCompute)], len(programs), ph.tiers)
+	}
+	fctx, fcancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer fcancel()
+	if err := f.FlushReplication(fctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range cold {
+		w.srv.Shutdown(context.Background())
+	}
+
+	var warm []*testWorker
+	for _, d := range dirs {
+		warm = append(warm, startTestWorker(t, d, 0))
+	}
+	ts2, _ := startFrontierWith(t, cfg, warm...)
+	ph = replay(t, ts2, programs, 2, 4)
+	if n := ph.tiers[string(pipeline.TierCompute)]; n != 0 {
+		t.Fatalf("restarted fleet recomputed %d answers; the stores did not persist: %v", n, ph.tiers)
+	}
+	if ph.tiers[string(pipeline.TierStore)] == 0 {
+		t.Fatalf("restarted fleet never answered from a store: %v", ph.tiers)
+	}
+	var hits, misses int64
+	for _, w := range warm {
+		st := w.eng.Snapshot().Store
+		hits += st.Hits
+		misses += st.Misses
+	}
+	if misses != 0 || hits == 0 {
+		t.Fatalf("warm store lookups: %d hits, %d misses; want every lookup a hit", hits, misses)
+	}
+}
+
 // TestDiskLossServedFromReplicas is the disk-loss acceptance criterion:
-// after a warm phase at R=2, one worker is killed AND its store directory
-// deleted; the warm re-run sees zero client-visible errors and >90% of
-// responses served from a cache tier (the dead primary's keyspace comes
-// out of its replicas' stores, not recomputation).
+// after a cold phase at R=2 whose replication completes without error, the
+// busiest worker is killed AND its store directory deleted. The replay sees
+// zero client-visible errors and no compute-tier answer: the dead
+// primary's keyspace comes out of its replicas' stores, not recomputation.
 func TestDiskLossServedFromReplicas(t *testing.T) {
 	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
 	w1 := startTestWorker(t, dirs[0], 0)
@@ -125,28 +267,26 @@ func TestDiskLossServedFromReplicas(t *testing.T) {
 	workers := []*testWorker{w1, w2, w3}
 	ts, f := startFrontierWith(t, frontier.Config{Replicas: 2}, workers...)
 
-	const n = 24
-	programs := make([]string, n)
-	for i := range programs {
-		programs[i] = workload.Mixed(10, int64(7000+i)).String()
-	}
-	for i, src := range programs {
-		code, out := postAnalyze(t, ts, reqBody(t, analyzeRequest{Program: src}))
-		if code != http.StatusOK || !out.OK {
-			t.Fatalf("cold request %d: status=%d error=%q", i, code, out.Error)
-		}
-	}
+	programs := mixedPrograms(24, 10, 7000)
+	replay(t, ts, programs, 2, 4)
 	fctx, fcancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer fcancel()
 	if err := f.FlushReplication(fctx); err != nil {
 		t.Fatal(err)
+	}
+	st := f.Stats()
+	if st.ReplPushed == 0 {
+		t.Fatalf("no artifacts were replicated: %+v", st)
+	}
+	if st.ReplErrors != 0 || st.ReplDropped != 0 {
+		t.Fatalf("replication lost pushes on a healthy fleet: errors=%d dropped=%d", st.ReplErrors, st.ReplDropped)
 	}
 
 	// Kill the busiest worker — by pigeonhole it is the primary for at
 	// least a third of the keyspace — and wipe its store from disk.
 	var victim *testWorker
 	var most int64 = -1
-	for _, b := range f.Stats().Backends {
+	for _, b := range st.Backends {
 		for _, w := range workers {
 			if w.addr == b.Addr && b.Requests > most {
 				most, victim = b.Requests, w
@@ -159,22 +299,12 @@ func TestDiskLossServedFromReplicas(t *testing.T) {
 	}
 	time.Sleep(250 * time.Millisecond) // let the health checker notice
 
-	cacheHits := 0
-	for i, src := range programs {
-		code, out := postAnalyze(t, ts, reqBody(t, analyzeRequest{Program: src}))
-		if code != http.StatusOK || !out.OK {
-			t.Fatalf("warm request %d saw a client-visible error across disk loss: status=%d error=%q",
-				i, code, out.Error)
-		}
-		if out.Tier == string(pipeline.TierLRU) || out.Tier == string(pipeline.TierStore) {
-			cacheHits++
-		}
+	// replay fails the test on any client-visible error.
+	ph := replay(t, ts, programs, 2, 4)
+	if n := ph.tiers[string(pipeline.TierCompute)]; n != 0 {
+		t.Fatalf("disk-loss replay recomputed %d answers instead of reading replicas: %v", n, ph.tiers)
 	}
-	if rate := float64(cacheHits) / float64(n); rate < 0.9 {
-		t.Fatalf("warm store-hit rate %.2f after disk loss, want > 0.9 (hits=%d/%d)", rate, cacheHits, n)
-	}
-	st := f.Stats()
-	if st.RoutedErr != 0 {
+	if st := f.Stats(); st.RoutedErr != 0 {
 		t.Fatalf("requests exhausted all replicas: %+v", st)
 	}
 }
@@ -295,5 +425,72 @@ func TestHedgedRequestEndToEnd(t *testing.T) {
 	}
 	if st.RoutedErr != 0 {
 		t.Fatalf("hedging produced routing errors: %+v", st)
+	}
+}
+
+// TestHedgingCutsStragglerP99 is the hedging A/B acceptance criterion: two
+// workers at R=1, one of which sleeps 300ms on 4 programs it owns, each
+// measured over one warm round with hedging off and then on (50ms pinned
+// delay). Hedging must fire and win, cut p99, and add at most 15% backend
+// requests.
+func TestHedgingCutsStragglerP99(t *testing.T) {
+	names := []string{"w0", "w1"}
+	programs := mixedPrograms(48, 8, 9000)
+
+	// Placement depends only on the names, so a frontier over placeholder
+	// addresses picks the straggler's programs before any worker starts.
+	pctx, pcancel := context.WithCancel(context.Background())
+	defer pcancel()
+	probe := frontier.New(pctx, frontier.Config{Backends: names, Names: names, HealthInterval: time.Hour})
+	slow := map[string]bool{}
+	for _, src := range programs {
+		key, err := pipeline.ReportKey(src, pipeline.Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if probe.Owner(key) == "w0" && len(slow) < 4 {
+			slow[src] = true
+		}
+	}
+	if len(slow) != 4 {
+		t.Fatalf("straggler w0 owns only %d of %d programs", len(slow), len(programs))
+	}
+
+	// run measures one fleet. The unmeasured prewarm round fills every
+	// report LRU, so the measured round isolates the straggler's sleeps: a
+	// cold compute could outlast the hedge delay and hedge on its own.
+	run := func(hedge bool) (phase, frontier.Stats, int64) {
+		cfg := frontier.Config{Names: names}
+		if hedge {
+			cfg.Hedge, cfg.HedgeDelay = true, 50*time.Millisecond
+		}
+		ts, f := startFrontierWith(t, cfg,
+			startStraggler(t, t.TempDir(), 300*time.Millisecond, slow),
+			startTestWorker(t, t.TempDir(), 0))
+		backendReqs := func() (n int64) {
+			for _, b := range f.Stats().Backends {
+				n += b.Requests
+			}
+			return n
+		}
+		replay(t, ts, programs, 1, 4)
+		base, baseReqs := f.Stats(), backendReqs()
+		ph := replay(t, ts, programs, 1, 4)
+		st := f.Stats()
+		st.Hedges -= base.Hedges
+		st.HedgeWins -= base.HedgeWins
+		return ph, st, backendReqs() - baseReqs
+	}
+	off, _, reqsOff := run(false)
+	on, st, reqsOn := run(true)
+
+	if st.Hedges == 0 || st.HedgeWins == 0 {
+		t.Fatalf("hedging never fired or won against the straggler: hedges=%d wins=%d", st.Hedges, st.HedgeWins)
+	}
+	if on.p99() >= off.p99() {
+		t.Fatalf("hedging did not cut p99: %v with, %v without", on.p99(), off.p99())
+	}
+	if extra := float64(reqsOn-reqsOff) / float64(reqsOff); extra > 0.15 {
+		t.Fatalf("hedging added %.1f%% backend requests (%d -> %d), budget 15%%", 100*extra, reqsOff, reqsOn)
 	}
 }

@@ -330,9 +330,9 @@ func (s *server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // adminBackendRequest is the POST /admin/backends body: hot-add or
-// hot-remove one backend in the frontier's consistent-hash ring. Names are
-// the stable ring identity, so a rebalance moves only the keyspace slices
-// adjacent to the changed backend.
+// hot-remove one backend in the frontier's backend set. Names are the
+// stable placement identity, so a rebalance moves only the keys the changed
+// backend gains or loses.
 type adminBackendRequest struct {
 	Action string `json:"action"` // "add" or "remove"
 	Name   string `json:"name"`

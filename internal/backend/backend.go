@@ -1,7 +1,7 @@
 // Package backend glues the wire protocol to the pipeline engine: it is the
 // request-handling core of cmd/dfg-worker, and the piece the frontier's
-// end-to-end tests and the loadtest's self-hosted deployment reuse to run
-// in-process workers over real loopback TCP.
+// end-to-end tests in cmd/dfg-serve reuse to run in-process workers over
+// real loopback TCP.
 package backend
 
 import (

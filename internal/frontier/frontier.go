@@ -1,28 +1,31 @@
 // Package frontier routes analysis requests across dfg-worker backends over
-// the wire protocol. Routing is by consistent hash of the program's content
-// address (so a given program lands on the same worker's caches and store
-// every time), identical in-flight requests are deduplicated by a
-// singleflight group, backends are health-checked in the background, and a
-// failed backend is retried transparently on the next replica in ring
-// order. dfg-serve uses it when configured with -backends; dfg-loadtest
-// uses it to self-host a sharded deployment in-process.
+// the wire protocol. Routing is by rendezvous (highest-random-weight) hash
+// of the program's content address: every backend scores the key by a
+// mixed hash of (backend name, key), and the highest score owns it, so a
+// given program lands on the same worker's caches and store every time.
+// Identical in-flight requests are deduplicated by a singleflight group,
+// backends are health-checked in the background, and a failed backend is
+// retried transparently on the next backend in score order. dfg-serve
+// uses it when configured with -backends.
 //
 // Beyond routing, the frontier is the durability and tail-latency layer:
 //
 //   - Replication (Config.Replicas > 1): every artifact computed by a
 //     backend is pushed asynchronously (wire StorePut, proto >= 2) into the
-//     stores of the key's other ring owners, so a worker that loses its
-//     disk is covered by replicas that already hold its keyspace. When a
-//     read is served off-primary (failover), the bytes are pushed back to
-//     the owners that should have had them — read repair.
+//     stores of the key's other owners (its top R scores), so a worker
+//     that loses its disk is covered by replicas that already hold its
+//     keyspace. When a read is served off-primary (failover), the bytes
+//     are pushed back to the owners that should have had them — read
+//     repair.
 //   - Hedging (Config.Hedge): a request that outlives the observed p99
 //     latency is re-issued to the key's next replica; the first result
 //     wins and the loser is cancelled, never double-counted. Hedge-safe
 //     cancellation in the wire client guarantees the loser's connection is
 //     discarded rather than reused mid-batch.
-//   - Hot add/remove: AddBackend/RemoveBackend swap in a rebuilt ring at
-//     runtime; identities are stable names, so rebalancing moves only the
-//     keyspace slices adjacent to the changed backend.
+//   - Hot add/remove: AddBackend/RemoveBackend swap in a rebuilt backend
+//     set at runtime; identities are stable names, so an added backend
+//     takes only the keys it now scores highest on, and a removed one
+//     gives up only its own keys.
 package frontier
 
 import (
@@ -42,15 +45,15 @@ import (
 type Config struct {
 	Backends []string // worker addresses, host:port
 
-	// Names optionally gives each backend a stable ring identity, aligned
-	// with Backends. The ring hashes names, not addresses, so a worker
-	// that comes back on a different port (or is re-addressed behind a
-	// load balancer) keeps owning the same keyspace slice — and keeps
-	// hitting its own store. Empty means the addresses are the names.
+	// Names optionally gives each backend a stable identity, aligned with
+	// Backends. Placement hashes names, not addresses, so a worker that
+	// comes back on a different port (or is re-addressed behind a load
+	// balancer) keeps owning the same keys — and keeps hitting its own
+	// store. Empty means the addresses are the names.
 	Names []string
 
 	// Replicas is the artifact replication factor R: every computed
-	// artifact is pushed to the key's first R ring owners. <=1 disables
+	// artifact is pushed to the key's top R owners. <=1 disables
 	// replication (the pre-replication behavior).
 	Replicas int
 
@@ -62,7 +65,6 @@ type Config struct {
 	// tests pin a fixed delay for determinism).
 	HedgeDelay time.Duration
 
-	Vnodes         int           // ring virtual nodes per backend; <=0 means 64
 	DialTimeout    time.Duration // per-backend connection + handshake budget; <=0 means 2s
 	HealthInterval time.Duration // background ping cadence; <=0 means 2s
 	PoolSize       int           // idle wire connections kept per backend; <=0 means 8
@@ -76,9 +78,6 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.Vnodes <= 0 {
-		c.Vnodes = 64
-	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 2 * time.Second
 	}
@@ -101,24 +100,18 @@ func (c *Config) defaults() {
 type backendRec struct {
 	name    string
 	addr    string
+	seed    uint64 // mix64(hash64(name)): the name's half of every score
 	pool    *clientPool
 	healthy atomic.Bool
 	reqs    atomic.Int64 // items attempted on this backend
 	errs    atomic.Int64 // transport/protocol failures
 }
 
-// routeTable is an immutable routing snapshot: the backend set and the
-// consistent-hash ring over their names. Mutations (AddBackend,
-// RemoveBackend) build a new table and swap the pointer, so readers never
-// lock.
+// routeTable is an immutable routing snapshot: the backend set.
+// Mutations (AddBackend, RemoveBackend) build a new table and swap the
+// pointer, so readers never lock.
 type routeTable struct {
 	backends []*backendRec
-	ring     []ringEntry // sorted by hash
-}
-
-type ringEntry struct {
-	hash uint64
-	idx  int // index into backends
 }
 
 // pushTask is one queued replication (or read-repair) push.
@@ -179,7 +172,7 @@ func New(ctx context.Context, cfg Config) *Frontier {
 		}
 		recs = append(recs, f.newBackend(name, addr))
 	}
-	f.tbl.Store(buildTable(recs, cfg.Vnodes))
+	f.tbl.Store(&routeTable{backends: recs})
 	go f.healthLoop(ctx)
 	if cfg.Replicas > 1 {
 		for i := 0; i < replPushWorkers; i++ {
@@ -202,29 +195,19 @@ func (f *Frontier) newBackend(name, addr string) *backendRec {
 	rec := &backendRec{
 		name: name,
 		addr: addr,
+		seed: mix64(hash64(name)),
 		pool: newClientPool(addr, dial, f.cfg.PoolSize, f.cfg.MaxConns),
 	}
 	rec.healthy.Store(true) // optimistic; the first failure or ping corrects it
 	return rec
 }
 
-func buildTable(recs []*backendRec, vnodes int) *routeTable {
-	t := &routeTable{backends: recs}
-	for i, rec := range recs {
-		for v := 0; v < vnodes; v++ {
-			t.ring = append(t.ring, ringEntry{hash: hash64(fmt.Sprintf("%s#%d", rec.name, v)), idx: i})
-		}
-	}
-	sort.Slice(t.ring, func(a, b int) bool { return t.ring[a].hash < t.ring[b].hash })
-	return t
-}
-
 func (f *Frontier) table() *routeTable { return f.tbl.Load() }
 
-// AddBackend joins a new worker to the ring under a stable name. The swap
-// is atomic: requests in flight finish on the old table, new requests see
-// the rebalanced ring. Only the keyspace slices adjacent to the new
-// backend's vnodes move.
+// AddBackend joins a new worker under a stable name. The swap is atomic:
+// requests in flight finish on the old table, new requests see the new
+// backend set. Only the keys the new backend now scores highest on move,
+// about 1/N of them.
 func (f *Frontier) AddBackend(name, addr string) error {
 	if name == "" || addr == "" {
 		return fmt.Errorf("frontier: backend name and addr are required")
@@ -238,12 +221,13 @@ func (f *Frontier) AddBackend(name, addr string) error {
 		}
 	}
 	recs := append(append([]*backendRec(nil), old.backends...), f.newBackend(name, addr))
-	f.tbl.Store(buildTable(recs, f.cfg.Vnodes))
+	f.tbl.Store(&routeTable{backends: recs})
 	return nil
 }
 
-// RemoveBackend drains a worker out of the ring by name and closes its
-// connection pool. Requests that raced the removal fail over normally.
+// RemoveBackend drains a worker out of the backend set by name and closes
+// its connection pool. Only the removed backend's keys move. Requests that
+// raced the removal fail over normally.
 func (f *Frontier) RemoveBackend(name string) error {
 	f.tableMu.Lock()
 	defer f.tableMu.Unlock()
@@ -260,7 +244,7 @@ func (f *Frontier) RemoveBackend(name string) error {
 	if removed == nil {
 		return fmt.Errorf("frontier: no backend named %q", name)
 	}
-	f.tbl.Store(buildTable(recs, f.cfg.Vnodes))
+	f.tbl.Store(&routeTable{backends: recs})
 	removed.pool.closeAll()
 	return nil
 }
@@ -271,36 +255,55 @@ func hash64(s string) uint64 {
 	return h.Sum64()
 }
 
-// replicaSet returns the key's first r distinct ring owners, clockwise from
-// the key's hash. Ownership ignores health — it defines where artifacts
-// *belong*, which must be stable while a backend flaps.
-func (t *routeTable) replicaSet(key string, r int) []*backendRec {
-	if len(t.backends) == 0 || r <= 0 {
-		return nil
-	}
-	if r > len(t.backends) {
-		r = len(t.backends)
-	}
-	h := hash64(key)
-	start := sort.Search(len(t.ring), func(i int) bool { return t.ring[i].hash >= h })
-	seen := make(map[int]bool, r)
-	out := make([]*backendRec, 0, r)
-	for i := 0; len(out) < r && i < len(t.ring); i++ {
-		e := t.ring[(start+i)%len(t.ring)]
-		if !seen[e.idx] {
-			seen[e.idx] = true
-			out = append(out, t.backends[e.idx])
+// mix64 is the splitmix64 finalizer. FNV-64a alone leaves short names that
+// differ in one byte close together; mixing spreads every input bit over
+// the whole word.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// ranked returns every backend by its rendezvous score for key, highest
+// first. A backend's score depends only on its name and the key, so adding
+// or removing a backend never reorders the others.
+func (t *routeTable) ranked(key string) []*backendRec {
+	kh := hash64(key)
+	out := make([]*backendRec, len(t.backends))
+	scores := make([]uint64, len(t.backends))
+	for i, b := range t.backends {
+		s := mix64(kh ^ b.seed)
+		j := i
+		for ; j > 0 && scores[j-1] < s; j-- {
+			scores[j], out[j] = scores[j-1], out[j-1]
 		}
+		scores[j], out[j] = s, b
 	}
 	return out
 }
 
-// order returns the backends to try for key, most-preferred first: the full
-// ring order with healthy backends stable-partitioned to the front
+// replicaSet returns the key's top r owners by score. Ownership ignores
+// health — it defines where artifacts *belong*, which must be stable while
+// a backend flaps.
+func (t *routeTable) replicaSet(key string, r int) []*backendRec {
+	if r > len(t.backends) {
+		r = len(t.backends)
+	}
+	if r <= 0 {
+		return nil
+	}
+	return t.ranked(key)[:r]
+}
+
+// order returns the backends to try for key, most-preferred first: every
+// backend by score, with healthy backends stable-partitioned to the front
 // (unhealthy replicas stay as a last resort — a dead health probe must not
 // black-hole the keyspace).
 func (t *routeTable) order(key string) []*backendRec {
-	ordered := t.replicaSet(key, len(t.backends))
+	ordered := t.ranked(key)
 	healthy := make([]*backendRec, 0, len(ordered))
 	var down []*backendRec
 	for _, b := range ordered {
@@ -318,10 +321,10 @@ func (t *routeTable) order(key string) []*backendRec {
 func (f *Frontier) order(key string) []*backendRec { return f.table().order(key) }
 
 // Owner reports the name of the backend holding key's primary replica —
-// the first ring successor, ignoring health (ownership must stay stable
-// while a backend flaps). Empty when the ring is empty. Ownership depends
-// only on the stable backend names and the ring geometry, so ops tooling
-// and tests can predict placement without issuing traffic.
+// the highest-scoring backend, ignoring health (ownership must stay stable
+// while a backend flaps). Empty when there are no backends. Ownership
+// depends only on the stable backend names and the key, so ops tooling and
+// tests can predict placement without issuing traffic.
 func (f *Frontier) Owner(key string) string {
 	owners := f.table().replicaSet(key, 1)
 	if len(owners) == 0 {

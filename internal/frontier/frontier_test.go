@@ -2,7 +2,9 @@ package frontier
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,11 +18,11 @@ import (
 	"dfg/internal/wire"
 )
 
-// TestRingRoutingStability: the consistent-hash ring sends a key to the
-// same backend every time, spreads distinct keys across backends, and
-// changes as little as possible when a backend disappears (keys previously
-// owned by survivors stay put).
-func TestRingRoutingStability(t *testing.T) {
+// TestRoutingStability: rendezvous placement sends a key to the same
+// backend every time, spreads distinct keys across backends, and changes as
+// little as possible when a backend disappears (keys previously owned by
+// survivors stay put).
+func TestRoutingStability(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	mk := func(addrs ...string) *Frontier {
@@ -53,11 +55,111 @@ func TestRingRoutingStability(t *testing.T) {
 	}
 	for _, n := range counts {
 		if n == 0 || n == 300 {
-			t.Fatalf("degenerate ring distribution: %v", counts)
+			t.Fatalf("degenerate placement: %v", counts)
 		}
 	}
 	if moved != 0 {
-		t.Fatalf("%d keys moved between surviving backends on ring shrink", moved)
+		t.Fatalf("%d keys moved between surviving backends on shrink", moved)
+	}
+}
+
+// placementKeys returns n keys shaped like the served ones: hex SHA-256
+// content addresses.
+func placementKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		sum := sha256.Sum256([]byte(fmt.Sprintf("program-%d", i)))
+		keys[i] = hex.EncodeToString(sum[:])
+	}
+	return keys
+}
+
+// namedFrontier builds a frontier over backends with the given stable
+// names. Nothing is dialed: the tests below only read placement.
+func namedFrontier(t *testing.T, names []string) *Frontier {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	addrs := make([]string, len(names))
+	for i, n := range names {
+		addrs[i] = n + ":1"
+	}
+	return New(ctx, Config{Backends: addrs, Names: names, HealthInterval: time.Hour})
+}
+
+func backendNames(format string, n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf(format, i+1)
+	}
+	return names
+}
+
+// TestPlacementBalance: every backend owns its fair share of the keyspace
+// within ±10%, for 2–8 backends under the short names deployments use.
+// Short names that differ in one byte are the case unmixed FNV placement
+// got wrong (w1 owned 97% of the keys against w2).
+func TestPlacementBalance(t *testing.T) {
+	keys := placementKeys(20000)
+	for _, format := range []string{"w%d", "worker-%d"} {
+		for n := 2; n <= 8; n++ {
+			f := namedFrontier(t, backendNames(format, n))
+			counts := map[string]int{}
+			for _, k := range keys {
+				counts[f.Owner(k)]++
+			}
+			fair := float64(len(keys)) / float64(n)
+			for _, name := range backendNames(format, n) {
+				if c := float64(counts[name]); c < 0.9*fair || c > 1.1*fair {
+					t.Errorf("%d backends named %q: %s owns %d keys, want %.0f ±10%%: %v",
+						n, format, name, counts[name], fair, counts)
+				}
+			}
+		}
+	}
+}
+
+// TestPlacementMovesOnlyChangedBackendKeys: adding a backend moves only the
+// keys it now owns (about 1/N of them); removing one moves only its own.
+func TestPlacementMovesOnlyChangedBackendKeys(t *testing.T) {
+	keys := placementKeys(20000)
+	f := namedFrontier(t, backendNames("w%d", 4))
+	before := make([]string, len(keys))
+	for i, k := range keys {
+		before[i] = f.Owner(k)
+	}
+
+	if err := f.AddBackend("w5", "w5:1"); err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for i, k := range keys {
+		if now := f.Owner(k); now != before[i] {
+			if now != "w5" {
+				t.Fatalf("key %s moved %s -> %s on adding w5", k, before[i], now)
+			}
+			moved++
+		}
+	}
+	if share := float64(moved) / float64(len(keys)); share < 0.9/5 || share > 1.1/5 {
+		t.Fatalf("adding a 5th backend moved %.3f of the keys, want 1/5 ±10%%", share)
+	}
+	if err := f.RemoveBackend("w5"); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := f.RemoveBackend("w2"); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		now := f.Owner(k)
+		if before[i] == "w2" {
+			if now == "w2" {
+				t.Fatalf("key %s still owned by removed backend w2", k)
+			}
+		} else if now != before[i] {
+			t.Fatalf("key %s moved %s -> %s on removing w2", k, before[i], now)
+		}
 	}
 }
 
@@ -281,8 +383,8 @@ func TestSharedErrorRetriedOutsideGroup(t *testing.T) {
 // returned promptly, the loser is cancelled without being counted as a
 // served request or a backend error.
 func TestHedgingFirstResultWins(t *testing.T) {
-	// Which backend owns a key depends on the ring hashes of their random
-	// ports, so both start fast and the owner of key-0 is made the
+	// Which backend owns a key depends on the placement scores of their
+	// random ports, so both start fast and the owner of key-0 is made the
 	// straggler once the frontier is built.
 	var slowIdx atomic.Int32
 	slowIdx.Store(-1)
@@ -376,7 +478,7 @@ func TestAdaptiveHedgeDelay(t *testing.T) {
 }
 
 // TestReplicationPushesToOtherOwners: at R=2 a compute-tier result is
-// pushed into the store of the key's other ring owner; an off-primary read
+// pushed into the store of the key's other owner; an off-primary read
 // triggers a read-repair push back toward the primary.
 func TestReplicationPushesToOtherOwners(t *testing.T) {
 	type capture struct {

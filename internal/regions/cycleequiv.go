@@ -45,7 +45,7 @@ import (
 func UndirectedCycleEquiv(u *graph.Undirected) ([]int, int) {
 	off, half := u.Adjacency()
 	classes := make([]int32, u.M)
-	num := cycleEquiv(u.N, off, half, classes)
+	num, _ := cycleEquiv(u.N, off, half, classes)
 	out := make([]int, u.M)
 	for e, c := range classes {
 		out[e] = int(c)
@@ -55,7 +55,10 @@ func UndirectedCycleEquiv(u *graph.Undirected) ([]int, int) {
 
 // cycleEquiv is the bracket-set depth-first search over a CSR adjacency
 // (see graph.Undirected.Adjacency). It writes every edge's class into
-// classOf and returns the number of classes.
+// classOf and returns the number of classes, and the number of abstract
+// operations it took: DFS steps (one per adjacency entry read) plus
+// bracket-list pushes, deletes and concatenations. The paper's O(E) bound
+// is a bound on that count, which tests check over size ladders.
 //
 // All working state lives in one int32 arena. Brackets are numbered, not
 // allocated: a real backedge is bracket e (its edge index, e < M), and the
@@ -65,9 +68,9 @@ func UndirectedCycleEquiv(u *graph.Undirected) ([]int, int) {
 // index updates. Children and backedges are read straight off the
 // adjacency: the tree edge to a child w is parentEdge[w], and every other
 // non-loop edge joins a node to one of its DFS ancestors.
-func cycleEquiv(n int, off []int32, half []graph.Half, classOf []int32) int {
+func cycleEquiv(n int, off []int32, half []graph.Half, classOf []int32) (numClasses, ops int) {
 	if n == 0 {
-		return 0
+		return 0, 0
 	}
 	m := len(classOf)
 	nb := m + n // bracket slots: real backedges, then one capping slot per node
@@ -114,6 +117,7 @@ func cycleEquiv(n int, off []int32, half []graph.Half, classOf []int32) int {
 		}
 		h := half[iter[v]]
 		iter[v]++
+		ops++
 		if dfsnum[h.To] == none {
 			w := h.To
 			dfsnum[w], order[seen], parentEdge[w], iter[w] = seen, w, h.Edge, off[w]
@@ -138,6 +142,7 @@ func cycleEquiv(n int, off []int32, half []graph.Half, classOf []int32) int {
 	bridgeClass := int32(none) // shared class of all bracket-less tree edges
 
 	push := func(v, b int32) {
+		ops++
 		prev[b], next[b] = none, head[v]
 		if head[v] != none {
 			prev[head[v]] = b
@@ -148,6 +153,7 @@ func cycleEquiv(n int, off []int32, half []graph.Half, classOf []int32) int {
 		size[v]++
 	}
 	remove := func(v, b int32) {
+		ops++
 		if prev[b] != none {
 			next[prev[b]] = next[b]
 		} else {
@@ -162,6 +168,7 @@ func cycleEquiv(n int, off []int32, half []graph.Half, classOf []int32) int {
 	}
 	// concat moves c's list onto the bottom of v's.
 	concat := func(v, c int32) {
+		ops++
 		if size[c] == 0 {
 			return
 		}
@@ -269,7 +276,7 @@ func cycleEquiv(n int, off []int32, half []graph.Half, classOf []int32) int {
 			classOf[e] = newClass()
 		}
 	}
-	return int(nextClass)
+	return int(nextClass), ops
 }
 
 // sanity check helper exposed for tests.

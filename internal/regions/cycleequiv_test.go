@@ -2,12 +2,15 @@ package regions
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dfg/internal/cfg"
 	"dfg/internal/graph"
 	"dfg/internal/lang/ast"
+	"dfg/internal/lang/parser"
 	"dfg/internal/workload"
 )
 
@@ -181,4 +184,90 @@ func TestEdgeClassesAllocsConstant(t *testing.T) {
 				c.name, g.NumEdges(), allocs, edgeClassesMaxAllocs)
 		}
 	}
+}
+
+// cycleEquivMaxOpsPerEdge bounds cycleEquiv's operation count per live CFG
+// edge. Each contracted undirected edge costs two DFS steps (one per
+// endpoint's adjacency entry), at most one push and one delete as a
+// bracket, and one concat as a tree edge; the measured figure is about 6
+// on every family below.
+const cycleEquivMaxOpsPerEdge = 8
+
+// TestCycleEquivOpsLinear is the paper's §3.1 claim as a deterministic
+// gate: cycle equivalence runs in O(E). For each size ladder it fits the
+// log-log slope of cycleEquiv's operation count against the live edge
+// count, and asserts the slope is at most 1.1 and the count per edge stays
+// under a fixed bound. No timing is involved, so the gate holds on any
+// host. The nested-if ladder is the one whose bracket lists grow with the
+// program: the DFS runs down the then-arms and every else-arm brackets the
+// whole path below its condition, so an implementation that copied bracket
+// lists instead of splicing them would go quadratic there (slope 1.7).
+func TestCycleEquivOpsLinear(t *testing.T) {
+	ladders := map[string][]*ast.Program{}
+	for _, n := range []int{250, 500, 1000, 2000, 4000, 8000} {
+		ladders["mixed"] = append(ladders["mixed"], workload.Mixed(n, 1))
+	}
+	for _, v := range []int{4, 8, 16, 32, 64, 128} {
+		ladders["wideswitch"] = append(ladders["wideswitch"], workload.WideSwitch(40, v, 1))
+	}
+	for _, n := range []int{25, 50, 100, 200, 400, 800} {
+		ladders["irreducible"] = append(ladders["irreducible"], workload.Irreducible(n, 1))
+	}
+	for _, d := range []int{8, 16, 32, 64, 128, 256} {
+		ladders["loopnest"] = append(ladders["loopnest"], workload.LoopNest(d, 2, 1))
+		ladders["nested-if"] = append(ladders["nested-if"], nestedIf(d))
+	}
+	for name, progs := range ladders {
+		var xs, ys []float64
+		for _, p := range progs {
+			g, err := cfg.Build(p)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			live := 0
+			for _, e := range g.Edges {
+				if !e.Dead {
+					live++
+				}
+			}
+			_, _, ops := edgeClasses(g)
+			if per := float64(ops) / float64(live); per > cycleEquivMaxOpsPerEdge {
+				t.Errorf("%s: %d ops over %d live edges (%.2f per edge), want <= %d",
+					name, ops, live, per, cycleEquivMaxOpsPerEdge)
+			}
+			xs = append(xs, math.Log(float64(live)))
+			ys = append(ys, math.Log(float64(ops)))
+		}
+		if slope := fitSlope(xs, ys); slope > 1.1 {
+			t.Errorf("%s: cycle-equivalence ops grow as E^%.2f, want slope <= 1.1", name, slope)
+		}
+	}
+}
+
+// nestedIf returns depth if-else statements, each nested in the previous
+// one's then-arm.
+func nestedIf(depth int) *ast.Program {
+	var b strings.Builder
+	b.WriteString("read a;\n")
+	for i := 0; i < depth; i++ {
+		fmt.Fprintf(&b, "if (a > %d) {\na := a + 1;\n", i)
+	}
+	for i := 0; i < depth; i++ {
+		b.WriteString("} else {\na := a - 1;\n}\n")
+	}
+	b.WriteString("print a;\n")
+	return parser.MustParse(b.String())
+}
+
+// fitSlope is the least-squares slope of ys against xs.
+func fitSlope(xs, ys []float64) float64 {
+	n := float64(len(xs))
+	var sx, sy, sxx, sxy float64
+	for i := range xs {
+		sx += xs[i]
+		sy += ys[i]
+		sxx += xs[i] * xs[i]
+		sxy += xs[i] * ys[i]
+	}
+	return (n*sxy - sx*sy) / (n*sxx - sx*sx)
 }

@@ -17,6 +17,13 @@ import (
 // region. Classes are numbered densely in order of first appearance over
 // the live edges, ascending by edge ID.
 func EdgeClasses(g *cfg.Graph) (classOf []int, numClasses int) {
+	classOf, numClasses, _ = edgeClasses(g)
+	return classOf, numClasses
+}
+
+// edgeClasses is EdgeClasses that also returns cycleEquiv's operation
+// count, for the O(E) op-count tests.
+func edgeClasses(g *cfg.Graph) (classOf []int, numClasses, ops int) {
 	classOf = newEdgeTable(g)
 	live := 0
 	for _, e := range g.Edges {
@@ -25,7 +32,7 @@ func EdgeClasses(g *cfg.Graph) (classOf []int, numClasses int) {
 		}
 	}
 	if live == 0 {
-		return classOf, 0
+		return classOf, 0, 0
 	}
 
 	// Claims 1 and 2 give the undirected graph G': a dummy node per CFG
@@ -57,7 +64,7 @@ func EdgeClasses(g *cfg.Graph) (classOf []int, numClasses int) {
 
 	off, half := und.Adjacency()
 	classes := make([]int32, und.M)
-	num := cycleEquiv(und.N, off, half, classes)
+	num, ops := cycleEquiv(und.N, off, half, classes)
 
 	// Renumber densely over the classes that label live CFG edges.
 	renum := make([]int32, num)
@@ -77,7 +84,7 @@ func EdgeClasses(g *cfg.Graph) (classOf []int, numClasses int) {
 		}
 		classOf[e.ID] = int(renum[c])
 	}
-	return classOf, numClasses
+	return classOf, numClasses, ops
 }
 
 // Region is a canonical single-entry single-exit region: the subgraph

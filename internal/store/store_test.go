@@ -341,6 +341,9 @@ func TestGCEvictsOldestFirst(t *testing.T) {
 	if st.GCRuns == 0 || st.EvictedFiles == 0 || st.EvictedBytes == 0 {
 		t.Fatalf("GC never fired: %+v", st)
 	}
+	if st.MaxBytes != 10*1024 {
+		t.Fatalf("stats report bound %d, configured 10240", st.MaxBytes)
+	}
 	if st.DiskBytes > st.MaxBytes {
 		t.Fatalf("disk bytes %d still above bound %d after GC", st.DiskBytes, st.MaxBytes)
 	}
