@@ -52,6 +52,24 @@ type experiment struct {
 	run   func(*reporter)
 }
 
+// experiments lists the paper reproductions in report order.
+var experiments = []experiment{
+	{"E1", "Figure 1: def-use chains vs SSA vs DFG on the running example", expE1},
+	{"E2", "Figure 2: DFG construction stages (base level, bypassing, dead-edge removal)", expE2},
+	{"E3", "Figure 3: all-paths vs possible-paths constants", expE3},
+	{"E4", "§4: constant propagation cost, CFG O(EV²) vs DFG O(EV)", expE4},
+	{"E5", "Figure 6: single-variable anticipatability", expE5},
+	{"E6", "Figure 7: multivariable anticipatability", expE6},
+	{"E7", "§5.2: elimination of partial redundancies (CSE, if-shape, loop invariant)", expE7},
+	{"E8", "§3.1: cycle equivalence and factored CDG in O(E)", expE8},
+	{"E9", "§3.3: SSA via the DFG equals Cytron SSA, in O(EV)", expE9},
+	{"E10", "§1/§2: representation sizes — def-use O(E²V) vs SSA/DFG O(EV)", expE10},
+	{"E11", "§4 extension: predicate analysis (x == c)", expE11},
+	{"E12", "§1: staged redundancy elimination (the w=a+b → y=w+1 chain)", expE12},
+	{"E13", "§3.3 ablation: region bypassing granularity (regions / basic blocks / none)", expE13},
+	{"E14", "placement ablation: busy (earliest) vs lazy (latest) code motion in EPR", expE14},
+}
+
 func main() {
 	// run does the real work and returns the exit code; main stays a thin
 	// shell so run's deferred profile writers execute before os.Exit.
@@ -110,26 +128,9 @@ func run() int {
 		}
 		return 0
 	}
-	exps := []experiment{
-		{"E1", "Figure 1: def-use chains vs SSA vs DFG on the running example", expE1},
-		{"E2", "Figure 2: DFG construction stages (base level, bypassing, dead-edge removal)", expE2},
-		{"E3", "Figure 3: all-paths vs possible-paths constants", expE3},
-		{"E4", "§4: constant propagation cost, CFG O(EV²) vs DFG O(EV)", expE4},
-		{"E5", "Figure 6: single-variable anticipatability", expE5},
-		{"E6", "Figure 7: multivariable anticipatability", expE6},
-		{"E7", "§5.2: elimination of partial redundancies (CSE, if-shape, loop invariant)", expE7},
-		{"E8", "§3.1: cycle equivalence and factored CDG in O(E)", expE8},
-		{"E9", "§3.3: SSA via the DFG equals Cytron SSA, in O(EV)", expE9},
-		{"E10", "§1/§2: representation sizes — def-use O(E²V) vs SSA/DFG O(EV)", expE10},
-		{"E11", "§4 extension: predicate analysis (x == c)", expE11},
-		{"E12", "§1: staged redundancy elimination (the w=a+b → y=w+1 chain)", expE12},
-		{"E13", "§3.3 ablation: region bypassing granularity (regions / basic blocks / none)", expE13},
-		{"E14", "placement ablation: busy (earliest) vs lazy (latest) code motion in EPR", expE14},
-	}
-
 	failed := 0
 	ran := 0
-	for _, e := range exps {
+	for _, e := range experiments {
 		if *flagExp != "all" && !strings.EqualFold(*flagExp, e.id) {
 			continue
 		}

@@ -1,6 +1,6 @@
 // Integration tests: the whole pipeline — parse → CFG → regions → DFG →
-// analyses → optimizations → interpret — exercised end to end, plus the
-// experiment harness in quick mode.
+// analyses → optimizations → interpret — exercised end to end. The
+// experiment harness runs in quick mode in cmd/dfg-bench's tests.
 package main
 
 import (

@@ -27,6 +27,7 @@
 package anticip
 
 import (
+	"dfg/internal/bitset"
 	"dfg/internal/cfg"
 	"dfg/internal/dataflow"
 	"dfg/internal/dfg"
@@ -84,7 +85,7 @@ func CFG(g *cfg.Graph, e ast.Expr) *CFGResult {
 		res.ANT[eid] = true
 	}
 
-	wl := dataflow.NewWorklist()
+	wl := bitset.NewWorklist(g.NumNodes())
 	for _, nd := range g.Nodes {
 		wl.Push(int(nd.ID))
 	}

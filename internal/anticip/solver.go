@@ -1,6 +1,7 @@
 package anticip
 
 import (
+	"dfg/internal/bitset"
 	"dfg/internal/cfg"
 	"dfg/internal/dataflow"
 	"dfg/internal/dfg"
@@ -114,7 +115,7 @@ func fixpoint(d *dfg.Graph, ports []dfg.Src, index []int, e ast.Expr, cost *data
 
 	// Worklist fixpoint. When a port of operator O changes, the ports
 	// feeding O's inputs must be re-evaluated.
-	wl := dataflow.NewWorklist()
+	wl := bitset.NewWorklist(len(ports))
 	for i := range ports {
 		wl.Push(i)
 	}

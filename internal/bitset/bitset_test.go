@@ -1,6 +1,10 @@
 package bitset
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+	"testing/quick"
+)
 
 func TestSetBasics(t *testing.T) {
 	var s Set // zero value usable
@@ -69,5 +73,31 @@ func TestWorklistFIFOAndDedup(t *testing.T) {
 	}
 	if seen != 100 {
 		t.Fatalf("drained %d, want 100", seen)
+	}
+}
+
+func TestWorklistDrainProperty(t *testing.T) {
+	// Pushing n distinct keys yields exactly n pops regardless of
+	// duplicate pushes while pending.
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		wl := NewWorklist(0)
+		distinct := map[int]bool{}
+		for i := 0; i < 50; i++ {
+			k := rng.Intn(10)
+			distinct[k] = true
+			wl.Push(k)
+		}
+		got := 0
+		for {
+			if _, ok := wl.Pop(); !ok {
+				break
+			}
+			got++
+		}
+		return got == len(distinct)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }

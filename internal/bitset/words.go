@@ -87,11 +87,6 @@ func (m *Matrix) Column(k int) []bool {
 // entire inner loop of the batched solvers, so they stay free of bounds
 // re-checks by pinning the destination length.
 
-// WordsCopy copies src into dst.
-func WordsCopy(dst, src []uint64) {
-	copy(dst, src)
-}
-
 // WordsOr sets dst |= src.
 func WordsOr(dst, src []uint64) {
 	_ = src[len(dst)-1]
@@ -113,16 +108,6 @@ func WordsAndNot(dst, src []uint64) {
 	_ = src[len(dst)-1]
 	for i := range dst {
 		dst[i] &^= src[i]
-	}
-}
-
-// WordsOrAndNot sets dst |= a &^ b (the classic transfer kernel
-// in = compute ∨ (out ∖ kill) with dst pre-seeded to compute).
-func WordsOrAndNot(dst, a, b []uint64) {
-	_ = a[len(dst)-1]
-	_ = b[len(dst)-1]
-	for i := range dst {
-		dst[i] |= a[i] &^ b[i]
 	}
 }
 

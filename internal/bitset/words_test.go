@@ -69,12 +69,6 @@ func TestWordKernels(t *testing.T) {
 		t.Fatalf("WordsAndNot = %b %b", dst[0], dst[1])
 	}
 
-	dst = []uint64{0b1, 0}
-	WordsOrAndNot(dst, a, b) // dst |= a &^ b
-	if dst[0] != 0b0101 || dst[1] != 0b1 {
-		t.Fatalf("WordsOrAndNot = %b %b", dst[0], dst[1])
-	}
-
 	dst = []uint64{0b1111, 0b11}
 	WordsAndOr(dst, a, b) // dst &= a | b
 	if dst[0] != 0b1110 || dst[1] != 0b11 {

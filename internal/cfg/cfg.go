@@ -172,6 +172,12 @@ func (g *Graph) Node(id NodeID) *Node { return g.Nodes[id] }
 // Edge returns the edge with the given ID.
 func (g *Graph) Edge(id EdgeID) *Edge { return g.Edges[id] }
 
+// Ends returns edge id's source and destination nodes.
+func (g *Graph) Ends(id EdgeID) (src, dst NodeID) {
+	e := g.Edges[id]
+	return e.Src, e.Dst
+}
+
 // NumNodes returns the total node count including dead-end placeholders.
 func (g *Graph) NumNodes() int { return len(g.Nodes) }
 

@@ -2,6 +2,7 @@ package cfg
 
 import (
 	"dfg/internal/bitset"
+	"dfg/internal/dataflow/bitvec"
 	"dfg/internal/lang/ast"
 	"dfg/internal/lang/token"
 )
@@ -121,67 +122,39 @@ func VarTypes(g *Graph) map[string]ValueType {
 // that is not definitely assigned: some live path from start reaches the
 // use without passing a definition (assignment or read) of the variable,
 // where it evaluates as integer 0 rather than anything its definitions
-// produce. Solved as a forward must-analysis over live edges — a variable
-// is definitely assigned at a node only when every path from start to the
-// node defines it, so merges intersect. Unreachable nodes never execute and
-// are skipped.
+// produce. Solved as a forward must-analysis over live edges from start —
+// a variable is definitely assigned at a node only when every path from
+// start to the node defines it, so merges intersect. Unreachable nodes
+// never execute: the solve skips them, so their edges read ⊤ at a merge.
 func maybeUndefAtUse(g *Graph) []string {
 	idx := g.VarIndex()
-	words := (len(g.VarNames) + 63) / 64
-
-	// in[n]: bit i set ⇔ VarNames[i] is definitely assigned at n's entry.
-	// nil means not yet reached (⊤). Sets only shrink once initialized, so
-	// worklist propagation from start converges to the greatest fixpoint
-	// over the reachable nodes.
-	in := make([][]uint64, len(g.Nodes))
-	in[g.Start] = make([]uint64, words)
-	wl := bitset.NewWorklist(len(g.Nodes))
-	wl.Push(int(g.Start))
-	out := make([]uint64, words)
-	for {
-		ni, ok := wl.Pop()
-		if !ok {
-			break
-		}
-		n := NodeID(ni)
-		copy(out, in[ni])
-		if d := g.Defs(n); d != "" {
-			if i, ok := idx[d]; ok {
-				out[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-		for _, eid := range g.OutEdges(n) {
-			m := g.Edge(eid).Dst
-			if in[m] == nil {
-				in[m] = append([]uint64(nil), out...)
-				wl.Push(int(m))
-				continue
-			}
-			changed := false
-			for w, ow := range out {
-				if meet := in[m][w] & ow; meet != in[m][w] {
-					in[m][w] = meet
-					changed = true
-				}
-			}
-			if changed {
-				wl.Push(int(m))
-			}
+	gen := bitset.NewMatrix(g.NumNodes(), len(g.VarNames))
+	for _, nd := range g.Nodes {
+		if i, ok := idx[g.Defs(nd.ID)]; ok {
+			gen.SetBit(int(nd.ID), i)
 		}
 	}
+	sol := bitvec.Solve[NodeID, EdgeID](g, bitvec.Problem{
+		Forward: true, Must: true, Bits: len(g.VarNames), Gen: gen, Entry: int(g.Start),
+	})
 
 	var vars []string
 	seen := map[string]bool{}
+	assigned := make([]uint64, gen.Stride)
 	for _, nd := range g.Nodes {
-		assigned := in[nd.ID]
-		if assigned == nil {
+		if !sol.Reached(nd.ID) {
 			continue
 		}
-		for _, v := range g.Uses(nd.ID) {
+		uses := g.Uses(nd.ID)
+		if len(uses) == 0 {
+			continue
+		}
+		sol.In(nd.ID, assigned)
+		for _, v := range uses {
 			if seen[v] {
 				continue
 			}
-			if i, ok := idx[v]; !ok || assigned[i>>6]&(1<<(uint(i)&63)) == 0 {
+			if i, ok := idx[v]; !ok || !bitset.WordsBit(assigned, i) {
 				seen[v] = true
 				vars = append(vars, v)
 			}

@@ -1,6 +1,7 @@
 package constprop
 
 import (
+	"dfg/internal/bitset"
 	"dfg/internal/cfg"
 	"dfg/internal/dataflow"
 	"dfg/internal/defuse"
@@ -103,7 +104,7 @@ func CFGOpt(g *cfg.Graph, opts Options) *Result {
 		}
 	}
 
-	wl := dataflow.NewWorklist()
+	wl := &bitset.Worklist{}
 
 	// setOut writes vector s to edge eid, enqueueing the destination on
 	// change.
@@ -252,7 +253,7 @@ func DFGOpt(d *dfg.Graph, opts Options) *Result {
 		return dataflow.TopVal // has operand uses; gated through them
 	}
 
-	wl := dataflow.NewWorklist()
+	wl := &bitset.Worklist{}
 
 	// setVal raises the value of a port; on change, schedules consumers.
 	setVal := func(src dfg.Src, v dataflow.ConstVal) {
@@ -414,7 +415,7 @@ func DefUse(g *cfg.Graph, chains *defuse.Chains) *Result {
 	}
 
 	// Worklist over def sites.
-	wl := dataflow.NewWorklist()
+	wl := &bitset.Worklist{}
 	for _, d := range chains.Defs {
 		wl.Push(int(d.Node))
 	}

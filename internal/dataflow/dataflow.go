@@ -1,14 +1,12 @@
 // Package dataflow provides the shared machinery of the paper's analyses:
-// the constant-propagation lattice (Kildall's ⊥ / constant / ⊤), boolean
-// dataflow values for anticipatability and availability, and operation
-// counters used by the complexity experiments (E4) to measure algorithmic
-// work independently of wall-clock noise.
+// the constant-propagation lattice (Kildall's ⊥ / constant / ⊤) and the
+// operation counters used by the complexity experiments to measure
+// algorithmic work independently of wall-clock noise. The word-parallel
+// gen/kill solver behind the bit-vector problems is its subpackage bitvec.
 package dataflow
 
 import (
-	"fmt"
-
-	"dfg/internal/bitset"
+	"dfg/internal/dataflow/bitvec"
 	"dfg/internal/interp"
 )
 
@@ -85,45 +83,6 @@ func (a ConstVal) String() string {
 func (a ConstVal) IsTrue() bool  { return a.Kind == Const && a.Val.B && a.Val.Bool }
 func (a ConstVal) IsFalse() bool { return a.Kind == Const && a.Val.B && !a.Val.Bool }
 
-// Counter tallies the abstract operations of an analysis so experiments can
-// compare algorithmic work (lattice joins, transfer evaluations, worklist
-// pops) rather than just wall time.
-type Counter struct {
-	Joins     int // lattice join operations
-	Transfers int // transfer-function/operator evaluations
-	Visits    int // worklist pops
-}
-
-// Add accumulates another counter.
-func (c *Counter) Add(o Counter) {
-	c.Joins += o.Joins
-	c.Transfers += o.Transfers
-	c.Visits += o.Visits
-}
-
-// Total returns the sum of all counted operations.
-func (c Counter) Total() int { return c.Joins + c.Transfers + c.Visits }
-
-// String renders the counter.
-func (c Counter) String() string {
-	return fmt.Sprintf("visits=%d transfers=%d joins=%d (total %d)", c.Visits, c.Transfers, c.Joins, c.Total())
-}
-
-// Worklist is a FIFO worklist over int keys with membership deduplication —
-// the scheduling structure shared by the iterative solvers. The keys are
-// dense IDs, so membership is a bit vector rather than a map.
-type Worklist struct {
-	w bitset.Worklist
-}
-
-// NewWorklist returns an empty worklist.
-func NewWorklist() *Worklist { return &Worklist{} }
-
-// Push enqueues k if not already pending.
-func (w *Worklist) Push(k int) { w.w.Push(k) }
-
-// Pop dequeues the next key; ok is false when empty.
-func (w *Worklist) Pop() (k int, ok bool) { return w.w.Pop() }
-
-// Len returns the number of pending keys.
-func (w *Worklist) Len() int { return w.w.Len() }
+// Counter tallies the abstract operations of an analysis. It is the bit-vector
+// solver's counter, so every analysis reports work in the same units.
+type Counter = bitvec.Counter

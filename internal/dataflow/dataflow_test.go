@@ -111,55 +111,6 @@ func TestConstValString(t *testing.T) {
 	}
 }
 
-func TestWorklistFIFOAndDedup(t *testing.T) {
-	wl := NewWorklist()
-	wl.Push(1)
-	wl.Push(2)
-	wl.Push(1) // duplicate while pending: ignored
-	if wl.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", wl.Len())
-	}
-	if k, ok := wl.Pop(); !ok || k != 1 {
-		t.Fatalf("first pop = %d, %v", k, ok)
-	}
-	wl.Push(1) // re-push after pop: allowed
-	if k, _ := wl.Pop(); k != 2 {
-		t.Error("FIFO order violated")
-	}
-	if k, _ := wl.Pop(); k != 1 {
-		t.Error("re-pushed key lost")
-	}
-	if _, ok := wl.Pop(); ok {
-		t.Error("pop from empty should fail")
-	}
-}
-
-func TestWorklistDrainProperty(t *testing.T) {
-	// Pushing n distinct keys yields exactly n pops regardless of
-	// duplicate pushes while pending.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		wl := NewWorklist()
-		distinct := map[int]bool{}
-		for i := 0; i < 50; i++ {
-			k := rng.Intn(10)
-			distinct[k] = true
-			wl.Push(k)
-		}
-		got := 0
-		for {
-			if _, ok := wl.Pop(); !ok {
-				break
-			}
-			got++
-		}
-		return got == len(distinct)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCounter(t *testing.T) {
 	var c Counter
 	c.Joins, c.Transfers, c.Visits = 1, 2, 3

@@ -11,8 +11,10 @@ import (
 	"sort"
 	"strings"
 
+	"dfg/internal/bitset"
 	"dfg/internal/cfg"
-	"dfg/internal/graph"
+	"dfg/internal/dataflow"
+	"dfg/internal/dataflow/bitvec"
 )
 
 // Def identifies a definition site: a node defining a variable.
@@ -38,8 +40,8 @@ type Chains struct {
 	byUse map[useKey][]cfg.NodeID
 	// All lists every chain.
 	All []Chain
-	// Iterations is the number of worklist passes used (for experiments).
-	Iterations int
+	// Cost is the reaching-definitions solver's work.
+	Cost dataflow.Counter
 }
 
 type useKey struct {
@@ -53,97 +55,50 @@ type useKey struct {
 func Compute(g *cfg.Graph) *Chains {
 	c := &Chains{G: g, byUse: map[useKey][]cfg.NodeID{}}
 
-	// Enumerate definition sites; defIdx[node] is the bit index.
-	defIdx := map[cfg.NodeID]int{}
+	// Enumerate definition sites: definition i is bit i. A node generates
+	// its own definition and kills every definition of its variable.
+	defAt := make([]int, g.NumNodes()) // node -> definition index, -1 for none
+	byVar := map[string][]int{}
 	for _, nd := range g.Nodes {
+		defAt[nd.ID] = -1
 		if v := g.Defs(nd.ID); v != "" {
-			defIdx[nd.ID] = len(c.Defs)
+			defAt[nd.ID] = len(c.Defs)
+			byVar[v] = append(byVar[v], len(c.Defs))
 			c.Defs = append(c.Defs, Def{Node: nd.ID, Var: v})
 		}
 	}
-	nd := len(c.Defs)
-	words := (nd + 63) / 64
-
-	// Per-variable kill masks.
-	killOf := map[string][]uint64{}
-	for i, d := range c.Defs {
-		if killOf[d.Var] == nil {
-			killOf[d.Var] = make([]uint64, words)
+	gen := bitset.NewMatrix(g.NumNodes(), len(c.Defs))
+	kill := bitset.NewMatrix(g.NumNodes(), len(c.Defs))
+	for n, i := range defAt {
+		if i < 0 {
+			continue
 		}
-		killOf[d.Var][i/64] |= 1 << (i % 64)
-	}
-
-	// IN/OUT sets per node.
-	in := make([][]uint64, g.NumNodes())
-	out := make([][]uint64, g.NumNodes())
-	for i := range in {
-		in[i] = make([]uint64, words)
-		out[i] = make([]uint64, words)
-	}
-
-	transfer := func(n cfg.NodeID, src, dst []uint64) bool {
-		changed := false
-		v := g.Defs(n)
-		var kill []uint64
-		if v != "" {
-			kill = killOf[v]
-		}
-		var gen int = -1
-		if v != "" {
-			gen = defIdx[n]
-		}
-		for w := 0; w < words; w++ {
-			x := src[w]
-			if kill != nil {
-				x &^= kill[w]
-			}
-			if gen >= 0 && gen/64 == w {
-				x |= 1 << (gen % 64)
-			}
-			if x != dst[w] {
-				dst[w] = x
-				changed = true
-			}
-		}
-		return changed
-	}
-
-	// Iterate to fixpoint in reverse postorder.
-	rpo := graph.ReversePostorder(g.Positional(), int(g.Start))
-	for changed := true; changed; {
-		changed = false
-		c.Iterations++
-		for _, ni := range rpo {
-			n := cfg.NodeID(ni)
-			// IN = union of OUT of preds.
-			for w := 0; w < words; w++ {
-				var x uint64
-				for _, p := range g.Preds(n) {
-					x |= out[p][w]
-				}
-				if x != in[n][w] {
-					in[n][w] = x
-					changed = true
-				}
-			}
-			if transfer(n, in[n], out[n]) {
-				changed = true
-			}
+		gen.SetBit(n, i)
+		for _, j := range byVar[c.Defs[i].Var] {
+			kill.SetBit(n, j)
 		}
 	}
+	sol := bitvec.Solve[cfg.NodeID, cfg.EdgeID](g, bitvec.Problem{
+		Forward: true, Bits: len(c.Defs), Gen: gen, Kill: kill,
+		Order: bitvec.KillThenGen, Entry: int(g.Start),
+	})
+	c.Cost = sol.Cost
 
 	// Materialize chains: for each use of v at node n, the reaching defs of
-	// v in IN[n].
-	for _, ndp := range g.Nodes {
-		for _, v := range g.Uses(ndp.ID) {
-			key := useKey{ndp.ID, v}
-			for i, d := range c.Defs {
-				if d.Var != v {
-					continue
-				}
-				if in[ndp.ID][i/64]&(1<<(i%64)) != 0 {
-					c.byUse[key] = append(c.byUse[key], d.Node)
-					c.All = append(c.All, Chain{Def: d.Node, Use: ndp.ID, Var: v})
+	// v entering n.
+	in := make([]uint64, gen.Stride)
+	for _, nd := range g.Nodes {
+		uses := g.Uses(nd.ID)
+		if len(uses) == 0 {
+			continue
+		}
+		sol.In(nd.ID, in)
+		for _, v := range uses {
+			key := useKey{nd.ID, v}
+			for _, i := range byVar[v] {
+				if bitset.WordsBit(in, i) {
+					c.byUse[key] = append(c.byUse[key], c.Defs[i].Node)
+					c.All = append(c.All, Chain{Def: c.Defs[i].Node, Use: nd.ID, Var: v})
 				}
 			}
 		}

@@ -20,9 +20,10 @@ import (
 	"sort"
 	"strings"
 
+	"dfg/internal/bitset"
 	"dfg/internal/cfg"
+	"dfg/internal/dataflow/bitvec"
 	"dfg/internal/defuse"
-	"dfg/internal/graph"
 )
 
 // Kind labels a dependence.
@@ -164,86 +165,45 @@ func antiDeps(g *cfg.Graph) []Dep {
 			sites = append(sites, useSite{nd.ID, v})
 		}
 	}
-	nu := len(sites)
-	if nu == 0 {
+	if len(sites) == 0 {
 		return nil
 	}
-	words := (nu + 63) / 64
 
-	killOf := map[string][]uint64{}
+	// A node generates its own use sites and kills every use site of the
+	// variable it defines. A node that both uses and defines v (x := x+1)
+	// generates the use and then kills it: its own use does NOT survive
+	// past the def, but it IS anti-dependent input for the def itself
+	// (handled below).
+	byVar := map[string][]int{}
 	for i, s := range sites {
-		if killOf[s.v] == nil {
-			killOf[s.v] = make([]uint64, words)
-		}
-		killOf[s.v][i/64] |= 1 << (i % 64)
+		byVar[s.v] = append(byVar[s.v], i)
 	}
-	genOf := make([][]uint64, g.NumNodes())
+	gen := bitset.NewMatrix(g.NumNodes(), len(sites))
+	kill := bitset.NewMatrix(g.NumNodes(), len(sites))
 	for i, s := range sites {
-		if genOf[s.node] == nil {
-			genOf[s.node] = make([]uint64, words)
-		}
-		genOf[s.node][i/64] |= 1 << (i % 64)
+		gen.SetBit(int(s.node), i)
 	}
-
-	in := make([][]uint64, g.NumNodes())
-	out := make([][]uint64, g.NumNodes())
-	for i := range in {
-		in[i] = make([]uint64, words)
-		out[i] = make([]uint64, words)
-	}
-
-	rpo := graph.ReversePostorder(g.Positional(), int(g.Start))
-	for changed := true; changed; {
-		changed = false
-		for _, ni := range rpo {
-			n := cfg.NodeID(ni)
-			for w := 0; w < words; w++ {
-				var x uint64
-				for _, p := range g.Preds(n) {
-					x |= out[p][w]
-				}
-				if x != in[n][w] {
-					in[n][w] = x
-					changed = true
-				}
-			}
-			// OUT = (IN ∪ gen) \ killed-by-def. A node that both uses and
-			// defines v (x := x+1) generates the use and then kills it:
-			// its own use does NOT survive past the def, but it IS
-			// anti-dependent input for the def itself (handled below via
-			// IN ∪ gen at the def).
-			v := g.Defs(n)
-			var kill []uint64
-			if v != "" {
-				kill = killOf[v]
-			}
-			for w := 0; w < words; w++ {
-				x := in[n][w]
-				if genOf[n] != nil {
-					x |= genOf[n][w]
-				}
-				if kill != nil {
-					x &^= kill[w]
-				}
-				if x != out[n][w] {
-					out[n][w] = x
-					changed = true
-				}
-			}
+	for _, nd := range g.Nodes {
+		for _, i := range byVar[g.Defs(nd.ID)] {
+			kill.SetBit(int(nd.ID), i)
 		}
 	}
+	sol := bitvec.Solve[cfg.NodeID, cfg.EdgeID](g, bitvec.Problem{
+		Forward: true, Bits: len(sites), Gen: gen, Kill: kill,
+		Order: bitvec.GenThenKill, Entry: int(g.Start),
+	})
 
+	in := make([]uint64, gen.Stride)
 	var deps []Dep
 	for _, nd := range g.Nodes {
 		v := g.Defs(nd.ID)
 		if v == "" {
 			continue
 		}
-		for i, s := range sites {
-			if s.v != v {
-				continue
-			}
-			reaches := in[nd.ID][i/64]&(1<<(i%64)) != 0
+		sol.In(nd.ID, in)
+		for _, i := range byVar[v] {
+			s := sites[i]
+			reaches := bitset.WordsBit(in, i)
 			// The node's own use of v (x := x+1) is anti-dependent on the
 			// def in the same statement by read-before-write semantics.
 			if s.node == nd.ID {

@@ -5,6 +5,7 @@ import (
 	"dfg/internal/bitset"
 	"dfg/internal/cfg"
 	"dfg/internal/dataflow"
+	"dfg/internal/dataflow/bitvec"
 	"dfg/internal/dfg"
 )
 
@@ -16,374 +17,121 @@ import (
 // so replacing per-edge booleans with words changes nothing but the cost.
 
 // availabilityBatch solves AV (total) or PAV per CFG edge for every
-// candidate of the family at once. Rows are indexed by EdgeID.
+// candidate of the family at once: out = (in ∨ COMP) ∖ KILL, so a node
+// that computes e and then kills one of its variables does not make e
+// available. Start has no in-edges, so its out-edge, the boundary, reads
+// false. Rows are indexed by EdgeID.
 func availabilityBatch(f *anticip.Family, total bool, cost *dataflow.Counter) *bitset.Matrix {
-	g := f.G
-	n := len(f.Exprs)
-	av := bitset.NewMatrix(g.NumEdges(), n)
-	if n == 0 {
-		return av
-	}
-	if total {
-		for _, eid := range f.Live {
-			bitset.WordsFill(av.Row(int(eid)), n) // GFP for AV, LFP for PAV
-		}
-		bitset.WordsZero(av.Row(int(g.OutEdges(g.Start)[0])))
-	}
-
-	in := make([]uint64, f.Words)
-	out := make([]uint64, f.Words)
-	wl := dataflow.NewWorklist()
-	for _, nd := range g.Nodes {
-		wl.Push(int(nd.ID))
-	}
-	for {
-		ni, ok := wl.Pop()
-		if !ok {
-			break
-		}
-		cost.Visits++
-		nid := cfg.NodeID(ni)
-		nd := g.Node(nid)
-		if nd.Kind == cfg.KindStart {
-			continue // boundary
-		}
-
-		ins := g.InEdges(nid)
-		bitset.WordsZero(in)
-		if total && len(ins) > 0 {
-			bitset.WordsFill(in, n)
-		}
-		for _, eid := range ins {
-			cost.Joins++
-			if total {
-				bitset.WordsAnd(in, av.Row(int(eid)))
-			} else {
-				bitset.WordsOr(in, av.Row(int(eid)))
-			}
-		}
-
-		// Transfer: out = (in ∨ COMP) ∖ KILL — a node that computes e and
-		// then kills one of its variables does not make e available.
-		cost.Transfers++
-		bitset.WordsCopy(out, in)
-		bitset.WordsOr(out, f.Comp.Row(int(nid)))
-		bitset.WordsAndNot(out, f.Kill.Row(int(nid)))
-
-		for _, eid := range g.OutEdges(nid) {
-			row := av.Row(int(eid))
-			if !bitset.WordsEqual(row, out) {
-				bitset.WordsCopy(row, out)
-				wl.Push(int(g.Edge(eid).Dst))
-			}
-		}
-	}
-	return av
+	s := bitvec.Solve[cfg.NodeID, cfg.EdgeID](f.G, bitvec.Problem{
+		Forward: true, Must: total, Bits: len(f.Exprs), Gen: f.Comp, Kill: f.Kill,
+		Order: bitvec.GenThenKill, Entry: -1,
+	})
+	cost.Add(s.Cost)
+	return s.Edge
 }
 
 // dfgAVPAVBatch solves AV and PAV per CFG edge for every candidate of the
-// family using the dependence flow graph, mirroring dfgAVCovered: the
-// per-variable projections and coverage masks are combined under the
-// family's variable masks. Both problems share one port discovery per
-// variable (the expensive part: consumer filtering and preorder sorting
-// depend only on the graph, not on the lattice direction). Rows are
-// indexed by EdgeID.
+// family using the dependence flow graph, mirroring dfgAVCovered. Rows are
+// indexed by EdgeID and live in sc.Av and sc.Pav.
 func dfgAVPAVBatch(f *anticip.Family, d *dfg.Graph, opsOf map[string][]dfg.OpID, sc *anticip.Scratch, cost *dataflow.Counter) (av, pav *bitset.Matrix) {
-	g := f.G
-	n := len(f.Exprs)
-	if n == 0 {
-		return bitset.NewMatrix(g.NumEdges(), n), bitset.NewMatrix(g.NumEdges(), n)
-	}
 	if sc == nil {
 		sc = &anticip.Scratch{}
 	}
-	sc.Prepare(g.NumEdges(), d.NumSrcIndexes(), n)
-	av, pav = &sc.Av, &sc.Pav
-	av.Reshape(g.NumEdges(), n)
-	pav.Reshape(g.NumEdges(), n)
-	for i := 0; i < g.NumEdges(); i++ {
-		bitset.WordsFill(av.Row(i), n)
-		bitset.WordsFill(pav.Row(i), n)
-	}
-	pre := g.EdgePreorder()
-	proj := sc.Proj
-	cov := sc.Cov[:g.NumEdges()]
-	portIdx := sc.Index
-	hv := make([]uint64, f.Words)
-	acc := make([]uint64, f.Words)
-	vw := make([]uint64, f.Words)
-	seen := sc.Seen
-	stack := sc.Stack
-
-	// The port backing, consumer arena, and value matrix are reused across
-	// variables (and across calls, via the scratch). The value matrix is
-	// indexed positionally here; every row up to len(ports) is initialized
-	// before it is read, so no clearing is needed.
-	type portInfo struct {
-		src   dfg.Src
-		heads []dfg.Consumer
-	}
-	var ports []portInfo
-	var keyBuf []int
-	arena := sc.Heads[:0]
-	val := sc.Val
-
-	for _, x := range f.Vars {
-		// Live ports of x with their live consumers in dominance (preorder)
-		// order, exactly as dfgAVVar enumerates them. Head lists are tiny,
-		// so a stable insertion sort over precomputed preorder keys beats
-		// the reflection-based sort.
-		ports = ports[:0]
-		addPort := func(s dfg.Src) {
-			if !d.LiveSrc(s) {
-				return
-			}
-			start := len(arena)
-			for _, c := range d.Consumers(s) {
-				if d.LiveConsumer(s, c) {
-					arena = append(arena, c)
-				}
-			}
-			heads := arena[start:len(arena):len(arena)]
-			if cap(keyBuf) < len(heads) {
-				keyBuf = make([]int, len(heads))
-			}
-			keys := keyBuf[:len(heads)]
-			for i := range heads {
-				keys[i] = pre[d.HeadEdge(heads[i])]
-			}
-			for i := 1; i < len(heads); i++ {
-				for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-					keys[j], keys[j-1] = keys[j-1], keys[j]
-					heads[j], heads[j-1] = heads[j-1], heads[j]
-				}
-			}
-			portIdx[dfg.SrcIndex(s)] = len(ports)
-			ports = append(ports, portInfo{src: s, heads: heads})
-		}
-		for _, id := range opsOf[x] {
-			if d.Ops[id].Kind == dfg.OpSwitch {
-				addPort(dfg.Src{Op: id, Out: cfg.BranchTrue})
-				addPort(dfg.Src{Op: id, Out: cfg.BranchFalse})
-			} else {
-				addPort(dfg.Src{Op: id, Out: cfg.BranchNone})
-			}
-		}
-		val.EnsureRows(len(ports))
-
-		// posValInto(dst, src, k): the value word flowing just after the
-		// first k heads — the origin value raised by the COMP rows of the
-		// computing use heads passed so far.
-		posValInto := func(dst []uint64, src dfg.Src, k int) {
-			i := portIdx[dfg.SrcIndex(src)]
-			if i < 0 {
-				bitset.WordsZero(dst)
-				return
-			}
-			bitset.WordsCopy(dst, val.Row(i))
-			for j := 0; j < k && j < len(ports[i].heads); j++ {
-				c := ports[i].heads[j]
-				if c.UseIdx >= 0 {
-					bitset.WordsOr(dst, f.Comp.Row(int(d.Uses[c.UseIdx].Node)))
-				}
-			}
-		}
-
-		inputPos := func(opID dfg.OpID, inIdx int) (dfg.Src, int) {
-			src := d.Ops[opID].In[inIdx]
-			i := portIdx[dfg.SrcIndex(src)]
-			if i < 0 {
-				return src, 0
-			}
-			for k, c := range ports[i].heads {
-				if c.UseIdx == -1 && c.Op == opID && c.InIdx == inIdx {
-					return src, k
-				}
-			}
-			return src, len(ports[i].heads)
-		}
-
-		// recomputeInto writes port i's new value into dst.
-		recomputeInto := func(dst []uint64, i int, total bool) {
-			cost.Transfers++
-			p := ports[i]
-			op := &d.Ops[p.src.Op]
-			switch op.Kind {
-			case dfg.OpInit, dfg.OpDef:
-				bitset.WordsZero(dst)
-			case dfg.OpSwitch:
-				src, k := inputPos(op.ID, 0)
-				posValInto(dst, src, k)
-			case dfg.OpMerge:
-				bitset.WordsZero(dst)
-				if total {
-					bitset.WordsFill(dst, n)
-				}
-				for inIdx := range op.In {
-					src, k := inputPos(op.ID, inIdx)
-					posValInto(hv, src, k)
-					cost.Joins++
-					if total {
-						bitset.WordsAnd(dst, hv)
-					} else {
-						bitset.WordsOr(dst, hv)
-					}
-				}
-			default:
-				bitset.WordsZero(dst)
-			}
-		}
-
-		// solveAndCombine runs one lattice direction over the shared ports:
-		// origin values (init/def ports are constant zero — a fresh x kills
-		// every candidate; the rest start full for AV, zero for PAV), the
-		// worklist fixpoint, the projection walk, and the combine into out.
-		solveAndCombine := func(total bool, out *bitset.Matrix) {
-			for i, p := range ports {
-				row := val.Row(i)
-				bitset.WordsZero(row)
-				if total {
-					switch d.Ops[p.src.Op].Kind {
-					case dfg.OpInit, dfg.OpDef:
-					default:
-						bitset.WordsFill(row, n)
-					}
-				}
-			}
-
-			wl := &sc.WL
-			for i := range ports {
-				wl.Push(i)
-			}
-			for {
-				i, ok := wl.Pop()
-				if !ok {
-					break
-				}
-				cost.Visits++
-				recomputeInto(acc, i, total)
-				if bitset.WordsEqual(acc, val.Row(i)) {
-					continue
-				}
-				bitset.WordsCopy(val.Row(i), acc)
-				for _, c := range ports[i].heads {
-					if c.UseIdx >= 0 {
-						continue
-					}
-					op := &d.Ops[c.Op]
-					if op.Kind == dfg.OpSwitch {
-						if j := portIdx[dfg.SrcIndex(dfg.Src{Op: op.ID, Out: cfg.BranchTrue})]; j >= 0 {
-							wl.Push(j)
-						}
-						if j := portIdx[dfg.SrcIndex(dfg.Src{Op: op.ID, Out: cfg.BranchFalse})]; j >= 0 {
-							wl.Push(j)
-						}
-					} else if op.Kind == dfg.OpMerge {
-						if j := portIdx[dfg.SrcIndex(dfg.Src{Op: op.ID, Out: cfg.BranchNone})]; j >= 0 {
-							wl.Push(j)
-						}
-					}
-				}
-			}
-
-			// Projection: identical walk to dfgAVVar — the span structure and
-			// write order depend only on the graph, so assigning whole value
-			// words reproduces every candidate's scalar projection bit for bit.
-			bitset.WordsZero(proj.W)
-			for i := range cov {
-				cov[i] = false
-			}
-			for i, p := range ports {
-				bitset.WordsCopy(vw, val.Row(i))
-				prevEdge := d.TailEdge(p.src)
-				lastMarked := cfg.NoEdge
-				for _, c := range p.heads {
-					he := d.HeadEdge(c)
-					if he != lastMarked {
-						sc.Epoch++
-						markAvWords(g, prevEdge, he, vw, proj, cov, seen, sc.Epoch, &stack)
-						lastMarked = he
-					}
-					if c.UseIdx < 0 {
-						continue // operator head: downstream handled by its ports
-					}
-					node := d.Uses[c.UseIdx].Node
-					bitset.WordsOr(vw, f.Comp.Row(int(node)))
-					if g.Defs(node) == x {
-						break // x redefined: this port's value dies here
-					}
-					if outs := g.OutEdges(node); len(outs) == 1 {
-						prevEdge = outs[0]
-						bitset.WordsCopy(proj.Row(int(prevEdge)), vw)
-						cov[prevEdge] = true
-						lastMarked = cfg.NoEdge
-					}
-				}
-			}
-
-			// Combine under x's mask: candidates containing x take x's
-			// projection where covered and read false where not; candidates
-			// without x are unconstrained by x.
-			mask := f.Mask[x]
-			nm := f.NotMask[x]
-			for eid := 0; eid < g.NumEdges(); eid++ {
-				row := out.Row(eid)
-				if cov[eid] {
-					bitset.WordsAndOr(row, proj.Row(eid), nm)
-				} else {
-					bitset.WordsAndNot(row, mask)
-				}
-			}
-		}
-
-		solveAndCombine(true, av)
-		solveAndCombine(false, pav)
-
-		for _, p := range ports {
-			portIdx[dfg.SrcIndex(p.src)] = -1
-		}
-		arena = arena[:0]
-	}
-	sc.Stack = stack
-	sc.Heads = arena[:0]
-
-	// Variable-free candidates escape every per-variable constraint; the
-	// scalar solver defines them as nowhere available.
-	for i := 0; i < g.NumEdges(); i++ {
-		bitset.WordsAndNot(av.Row(i), f.Varless)
-		bitset.WordsAndNot(pav.Row(i), f.Varless)
-	}
-	return av, pav
+	f.SolvePorts(d, opsOf, sc, avRule{}, &sc.Av, &sc.Pav, cost)
+	return &sc.Av, &sc.Pav
 }
 
-// markAvWords is markBetweenEdges with a word value: it assigns vw to the
-// CFG edges on paths from tail to head and flags them covered.
-func markAvWords(g *cfg.Graph, tail, head cfg.EdgeID, vw []uint64, out *bitset.Matrix, cov []bool, seen []int32, epoch int32, stack *[]cfg.EdgeID) {
-	if tail == cfg.NoEdge || head == cfg.NoEdge {
-		return
-	}
-	bitset.WordsCopy(out.Row(int(head)), vw)
-	cov[head] = true
-	if head == tail {
-		return
-	}
-	seen[head] = epoch
-	st := (*stack)[:0]
-	st = append(st, head)
-	for len(st) > 0 {
-		cur := st[len(st)-1]
-		st = st[:len(st)-1]
-		for _, pe := range g.InEdges(g.Edge(cur).Src) {
-			if seen[pe] == epoch {
-				continue
+// avRule is availability's share of a sparse solve, propagated forward
+// along each variable x's dependences. A port's value is the value at its
+// origin: init and def ports are false (a fresh x kills every candidate), a
+// switch output copies its input, and a merge output meets its inputs (∧
+// for AV, ∨ for PAV). Along a port, the value rises at every head whose
+// node computes a candidate; heads are taken in edge preorder, which is
+// dominance order.
+type avRule struct{}
+
+func (avRule) Forward() bool { return true }
+
+func (avRule) Transfer(v *anticip.Ports, i int, dst []uint64) {
+	op := &v.D.Ops[v.Src[i].Op]
+	switch op.Kind {
+	case dfg.OpSwitch:
+		posValInto(v, dst, op.ID, 0)
+	case dfg.OpMerge:
+		bitset.WordsZero(dst)
+		if v.Total {
+			bitset.WordsFill(dst, len(v.F.Exprs))
+		}
+		for inIdx := range op.In {
+			posValInto(v, v.Tmp, op.ID, inIdx)
+			v.Cost.Joins++
+			if v.Total {
+				bitset.WordsAnd(dst, v.Tmp)
+			} else {
+				bitset.WordsOr(dst, v.Tmp)
 			}
-			seen[pe] = epoch
-			bitset.WordsCopy(out.Row(int(pe)), vw)
-			cov[pe] = true
-			if pe != tail {
-				st = append(st, pe)
+		}
+	default:
+		bitset.WordsZero(dst)
+	}
+}
+
+// posValInto writes the value that reaches input inIdx of operator opID:
+// the producing port's origin value raised by the COMP rows of the
+// computing use heads before the operator among that port's heads.
+func posValInto(v *anticip.Ports, dst []uint64, opID dfg.OpID, inIdx int) {
+	i := v.At(v.D.Ops[opID].In[inIdx])
+	if i < 0 {
+		bitset.WordsZero(dst)
+		return
+	}
+	copy(dst, v.Val.Row(i))
+	for _, c := range v.Heads[i] {
+		if c.UseIdx == -1 && c.Op == opID && c.InIdx == inIdx {
+			return
+		}
+		if c.UseIdx >= 0 {
+			bitset.WordsOr(dst, v.F.Comp.Row(int(v.D.Uses[c.UseIdx].Node)))
+		}
+	}
+}
+
+// Project walks each port's spans in head (dominance) order, the same walk
+// as dfgAVVar. Edges from the span cursor up to and including a head's
+// in-edge carry the value before that head's node executes; a computing
+// head raises the value for the edges after its node. Two heads can share
+// one head edge (a switch's predicate use and the switch operator's
+// input), so each span is marked only once. A head at a node redefining x
+// ends the old value's life there: its out-edge belongs to the def
+// operator's span. The span structure and write order depend only on the
+// graph, so assigning whole value words reproduces every candidate's
+// scalar projection bit for bit.
+func (avRule) Project(v *anticip.Ports) {
+	g, vw := v.F.G, v.Tmp
+	for i, src := range v.Src {
+		copy(vw, v.Val.Row(i))
+		prev := v.D.TailEdge(src)
+		last := cfg.NoEdge
+		for _, c := range v.Heads[i] {
+			if he := v.D.HeadEdge(c); he != last {
+				for _, e := range v.Span(prev, he) {
+					copy(v.Proj.Row(int(e)), vw)
+				}
+				last = he
+			}
+			if c.UseIdx < 0 {
+				continue // operator head: downstream handled by its ports
+			}
+			node := v.D.Uses[c.UseIdx].Node
+			bitset.WordsOr(vw, v.F.Comp.Row(int(node)))
+			if g.Defs(node) == v.Var {
+				break // x redefined: this port's value dies here
+			}
+			if outs := g.OutEdges(node); len(outs) == 1 {
+				prev = outs[0]
+				copy(v.Proj.Row(int(prev)), vw)
+				last = cfg.NoEdge
 			}
 		}
 	}
-	*stack = st
 }

@@ -523,33 +523,42 @@ var PatchCheck = os.Getenv("EPR_PATCH_CHECK") != ""
 // shared dependence graph is maintained in place across transformations
 // (dfg.PatchEPR), falling back to a full rebuild when a patch fails.
 func ApplyPlaced(g *cfg.Graph, driver Driver, placement Placement) (*cfg.Graph, Stats, error) {
-	return applyPlaced(g, driver, placement, nil, nil)
+	return applyPlaced(g, driver, placement, nil, nil, nil)
 }
 
-// ApplyObserved is ApplyPlaced with busy placement that also hands
-// observe the analysis of every candidate of the first round, solved
-// against the unmodified input before any edit — the same analyses
+// ApplyObserved is ApplyPlaced with busy placement and the DFG driver that
+// also hands observe the analysis of every candidate of the first round,
+// solved against the unmodified input before any edit — the same analyses
 // AnalyzeBatch would return for g, without solving the family a second
-// time. The analyses view the graph the transformation goes on to mutate,
-// so observe must extract what it needs before returning.
+// time. The analyses view g or the clone the transformation goes on to
+// mutate, so observe must extract what it needs before returning.
 //
 // d, when non-nil, is the DFG of g (dfg.Build(g) or dfg.BuildWithInfo over
-// g's regions) that the caller already holds. Under DriverDFG the first
-// round is solved on it, so a program that needs no edit builds no DFG of
-// its own; the first edit switches to a private build of the edited clone,
-// which later edits patch. d's dependence structure is only read, never
-// patched.
-func ApplyObserved(g *cfg.Graph, d *dfg.Graph, driver Driver, observe func([]*Analysis)) (*cfg.Graph, Stats, error) {
+// g's regions) that the caller already holds. The first round is solved on
+// it, so a program that needs no edit builds no DFG of its own; the first
+// edit switches to a private build of the edited clone, which later edits
+// patch. d's dependence structure is only read, never patched.
+//
+// pre, when non-nil, is the candidate family of g with its ANT/PAN rows
+// solved on d (Family.SolveDFG), which the caller already holds. The first
+// round then takes its candidates and ANT/PAN rows from pre and solves only
+// availability; pre is only read, never updated.
+func ApplyObserved(g *cfg.Graph, d *dfg.Graph, pre *anticip.Solution, observe func([]*Analysis)) (*cfg.Graph, Stats, error) {
 	if d != nil && d.G != g {
 		return nil, Stats{}, fmt.Errorf("epr: the DFG passed to ApplyObserved is not built over the input graph")
 	}
-	return applyPlaced(g, driver, PlaceBusy, d, observe)
+	if pre != nil && (d == nil || pre.Family.G != g) {
+		return nil, Stats{}, fmt.Errorf("epr: the ANT/PAN solution passed to ApplyObserved is not solved over the input graph and its DFG")
+	}
+	return applyPlaced(g, DriverDFG, PlaceBusy, d, pre, observe)
 }
 
 // applyPlaced runs the transformation fixpoint. shared, when non-nil, is a
 // caller-owned DFG of g: it stands in for the clone's DFG until the first
-// edit, and is never patched.
-func applyPlaced(g *cfg.Graph, driver Driver, placement Placement, shared *dfg.Graph, observe func([]*Analysis)) (*cfg.Graph, Stats, error) {
+// edit, and is never patched. pre, when non-nil, is a caller-owned solution
+// over g and shared that stands in for the first round's family and
+// ANT/PAN rows until the first edit, and is never updated.
+func applyPlaced(g *cfg.Graph, driver Driver, placement Placement, shared *dfg.Graph, pre *anticip.Solution, observe func([]*Analysis)) (*cfg.Graph, Stats, error) {
 	out := Clone(g)
 	var st Stats
 	tmp := 0
@@ -568,18 +577,27 @@ func applyPlaced(g *cfg.Graph, driver Driver, placement Placement, shared *dfg.G
 			}
 			st.DFGRebuilds++
 		}
-		exprs := CandidateExprs(out)
+		var fam *anticip.Family
+		var b *Batch
+		var err error
+		if rounds == 0 && pre != nil {
+			// pre's family and d are over g, which out still equals.
+			fam = pre.Family
+			b = &Batch{G: g, Family: fam, ANT: pre.ANT, PAN: pre.PAN}
+			b.AV, b.PAV = dfgAVPAVBatch(fam, d, d.OpsByVar(), &sc, &b.Cost)
+		} else {
+			fam = anticip.NewFamily(out, CandidateExprs(out))
+			if b, err = analyzeFamily(fam, driver, d, &sc); err != nil {
+				return nil, st, err
+			}
+		}
+		exprs := fam.Exprs
 		st.Exprs += len(exprs)
 		if len(exprs) > st.MaxCandidates {
 			st.MaxCandidates = len(exprs)
 		}
-		fam := anticip.NewFamily(out, exprs)
 		if fam.Words > st.SolverWords {
 			st.SolverWords = fam.Words
-		}
-		b, err := analyzeFamily(fam, driver, d, &sc)
-		if err != nil {
-			return nil, st, err
 		}
 		b.walk = &walk
 		// first holds the round's analyses until its first edit, when they
@@ -638,6 +656,9 @@ func applyPlaced(g *cfg.Graph, driver Driver, placement Placement, shared *dfg.G
 			}
 			// Re-solve the remaining candidates against the mutated graph.
 			if k+1 < len(exprs) {
+				if fam.G != out {
+					fam = fam.Clone(out) // the caller's family stays as solved
+				}
 				fam.Update(append(append([]cfg.NodeID{}, ed.NewNodes...), ed.Rewritten...))
 				if b, err = analyzeFamily(fam, driver, d, &sc); err != nil {
 					return nil, st, err

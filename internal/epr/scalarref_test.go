@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"dfg/internal/anticip"
+	"dfg/internal/bitset"
 	"dfg/internal/cfg"
 	"dfg/internal/dataflow"
 	"dfg/internal/dfg"
@@ -57,7 +58,7 @@ func availability(g *cfg.Graph, e ast.Expr, total bool, cost *dataflow.Counter) 
 	}
 	av[g.OutEdges(g.Start)[0]] = false
 
-	wl := dataflow.NewWorklist()
+	wl := &bitset.Worklist{}
 	for _, nd := range g.Nodes {
 		wl.Push(int(nd.ID))
 	}
@@ -300,7 +301,7 @@ func dfgAVVar(d *dfg.Graph, x string, e ast.Expr, pre []int, total bool, cost *d
 
 	// Fixpoint: when a port changes, re-evaluate ports fed by it (its
 	// consumers that are operators).
-	wl := dataflow.NewWorklist()
+	wl := &bitset.Worklist{}
 	for i := range ports {
 		wl.Push(i)
 	}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"dfg/internal/anticip"
 	"dfg/internal/cfg"
+	"dfg/internal/dataflow"
 	"dfg/internal/dfg"
 	"dfg/internal/interp"
 	"dfg/internal/lang/ast"
@@ -147,8 +149,9 @@ func TestLoopMotionWithoutSavingRejected(t *testing.T) {
 // TestApplyObservedMatchesAnalyzeBatch: the first-round analyses handed to
 // ApplyObserved's callback are the ones a separate AnalyzeBatch solve
 // returns for the input graph, whether the round is solved on a private
-// DFG or on one the caller passes in; observing changes nothing about the
-// transformation, and the passed-in DFG comes back unmodified.
+// DFG, on one the caller passes in, or from an ANT/PAN solution the caller
+// passes in with it; observing changes nothing about the transformation,
+// and the passed-in DFG and solution come back unmodified.
 func TestApplyObservedMatchesAnalyzeBatch(t *testing.T) {
 	for _, sc := range strictCorpus(true) {
 		g, err := cfg.Build(sc.prog)
@@ -170,9 +173,18 @@ func TestApplyObservedMatchesAnalyzeBatch(t *testing.T) {
 		}
 		shared := dfg.MustBuild(g)
 		before := shared.String()
-		for _, d := range []*dfg.Graph{nil, shared} {
+		fam := anticip.NewFamily(g, CandidateExprs(g))
+		var cost dataflow.Counter
+		ant, pan := fam.SolveDFG(shared, &cost)
+		pre := &anticip.Solution{Family: fam, ANT: ant, PAN: pan}
+		preBefore := solutionWords(pre)
+		for _, in := range []struct {
+			d   *dfg.Graph
+			pre *anticip.Solution
+		}{{nil, nil}, {shared, nil}, {shared, pre}} {
+			label := fmt.Sprintf("%s (passed-in DFG %t, solution %t)", sc.name, in.d != nil, in.pre != nil)
 			var got []string
-			opt, st, err := ApplyObserved(g, d, DriverDFG, func(as []*Analysis) {
+			opt, st, err := ApplyObserved(g, in.d, in.pre, func(as []*Analysis) {
 				for _, a := range as {
 					got = append(got, fmt.Sprintf("%s redundant=%t", a, a.Redundant()))
 				}
@@ -181,15 +193,14 @@ func TestApplyObservedMatchesAnalyzeBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%s (passed-in DFG %t): observed analyses differ from AnalyzeBatch:\n%v\nvs\n%v",
-					sc.name, d != nil, got, want)
+				t.Fatalf("%s: observed analyses differ from AnalyzeBatch:\n%v\nvs\n%v", label, got, want)
 			}
 			if opt.String() != plain.String() {
-				t.Fatalf("%s (passed-in DFG %t): observing changed the transformation", sc.name, d != nil)
+				t.Fatalf("%s: observing changed the transformation", label)
 			}
-			if d == nil {
+			if in.d == nil {
 				if st != plainSt {
-					t.Fatalf("%s: observing changed the stats: %v vs %v", sc.name, st, plainSt)
+					t.Fatalf("%s: observing changed the stats: %v vs %v", label, st, plainSt)
 				}
 				continue
 			}
@@ -199,23 +210,45 @@ func TestApplyObservedMatchesAnalyzeBatch(t *testing.T) {
 			work, plainWork := st.DFGRebuilds+st.DFGPatches, plainSt.DFGRebuilds+plainSt.DFGPatches
 			st.DFGRebuilds, st.DFGPatches = plainSt.DFGRebuilds, plainSt.DFGPatches
 			if st != plainSt || work != plainWork-1 {
-				t.Fatalf("%s: passed-in DFG: stats %v, want %v with one DFG construction fewer", sc.name, st, plainSt)
+				t.Fatalf("%s: stats %v, want %v with one DFG construction fewer", label, st, plainSt)
 			}
 			if after := shared.String(); after != before {
-				t.Fatalf("%s: ApplyObserved modified the passed-in DFG:\n%s\nvs\n%s", sc.name, after, before)
+				t.Fatalf("%s: ApplyObserved modified the passed-in DFG:\n%s\nvs\n%s", label, after, before)
+			}
+			if after := solutionWords(pre); after != preBefore {
+				t.Fatalf("%s: ApplyObserved modified the passed-in solution", label)
 			}
 		}
 	}
 }
 
-// TestApplyObservedRejectsForeignDFG: a DFG built over another graph is
-// refused rather than silently solved against.
+// solutionWords renders a solution's transfer and result rows.
+func solutionWords(s *anticip.Solution) string {
+	return fmt.Sprint(s.Family.Comp.W, s.Family.Kill.W, s.ANT.W, s.PAN.W)
+}
+
+// TestApplyObservedRejectsForeignDFG: a DFG or an ANT/PAN solution built
+// over another graph is refused rather than silently solved against, and so
+// is a solution without the DFG it was solved on.
 func TestApplyObservedRejectsForeignDFG(t *testing.T) {
 	g, err := cfg.Build(workload.NestedSum(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ApplyObserved(g, dfg.MustBuild(Clone(g)), DriverDFG, nil); err == nil {
+	if _, _, err := ApplyObserved(g, dfg.MustBuild(Clone(g)), nil, nil); err == nil {
 		t.Fatal("want an error for a DFG of a different graph")
+	}
+	other := Clone(g)
+	var cost dataflow.Counter
+	fam := anticip.NewFamily(other, CandidateExprs(other))
+	ant, pan := fam.SolveDFG(dfg.MustBuild(other), &cost)
+	foreign := &anticip.Solution{Family: fam, ANT: ant, PAN: pan}
+	if _, _, err := ApplyObserved(g, dfg.MustBuild(g), foreign, nil); err == nil {
+		t.Fatal("want an error for a solution over a different graph")
+	}
+	own := anticip.NewFamily(g, CandidateExprs(g))
+	ant, pan = own.SolveDFG(dfg.MustBuild(g), &cost)
+	if _, _, err := ApplyObserved(g, nil, &anticip.Solution{Family: own, ANT: ant, PAN: pan}, nil); err == nil {
+		t.Fatal("want an error for a solution passed without its DFG")
 	}
 }

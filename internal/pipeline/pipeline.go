@@ -13,14 +13,14 @@
 //	parse ─ cfg ─┬─ regions ─┬─ cdg
 //	             │           └─ dfg ─┬─ ssa
 //	             ├─ exec             ├─ constprop
-//	             │                   ├─ anticip
-//	             │                   └─ epr
+//	             │                   └─ anticip ─ epr
 //
 // Requesting a stage implies its dependencies. The regions stage computes
 // the program's cycle-equivalence classes and PST once: cdg and dfg both
-// build on them, and epr starts from the dfg stage's graph, so a request
-// runs regions.EdgeClasses once, and builds one DFG unless EPR edits the
-// program. The exec stage — the
+// build on them, and epr starts from the dfg stage's graph and the anticip
+// stage's candidates and ANT/PAN rows, so a request runs
+// regions.EdgeClasses once, solves ANT/PAN once, and builds one DFG unless
+// EPR edits the program. The exec stage — the
 // differential execution oracle of internal/oracle — is on-demand only:
 // it is excluded from AllStages because its artifact depends on the
 // request's input vector, not on the program alone. Every stage result is
@@ -89,7 +89,7 @@ var stageDeps = map[Stage][]Stage{
 	StageSSA:       {StageCFG, StageDFG},
 	StageConstprop: {StageCFG, StageDFG},
 	StageAnticip:   {StageCFG, StageDFG},
-	StageEPR:       {StageCFG, StageDFG},
+	StageEPR:       {StageCFG, StageDFG, StageAnticip},
 	StageExec:      {StageCFG},
 }
 
@@ -229,6 +229,15 @@ type ExprAnticip struct {
 	PanEdges int    `json:"pan_edges"` // CFG edges where it is partially anticipatable
 }
 
+// AnticipResult is the anticip stage artifact: the candidate family of the
+// input CFG with its ANT/PAN rows from one batched DFG solve, which the epr
+// stage's first round reads, and the per-expression summary the report
+// shows.
+type AnticipResult struct {
+	Solution *anticip.Solution
+	PerExpr  []ExprAnticip
+}
+
 // EPRExpr is the per-expression outcome of partial redundancy elimination:
 // the INSERT edge set and DELETE node set of the earliest down-safe
 // placement.
@@ -264,7 +273,7 @@ type Result struct {
 	DFG      *dfg.Graph
 	SSA      *SSAResult
 	Cprop    *ConstpropResult
-	Anticip  []ExprAnticip
+	Anticip  *AnticipResult
 	EPR      *EPRResult
 	Exec     *oracle.Report
 
@@ -487,12 +496,11 @@ func compute(st Stage, opts Options, res *Result) (any, error) {
 	case StageAnticip:
 		// One batched fixpoint covers every candidate (bit k of each row is
 		// candidate k's ANT/PAN).
-		var out []ExprAnticip
-		exprs := epr.CandidateExprs(res.CFG)
-		fam := anticip.NewFamily(res.CFG, exprs)
+		fam := anticip.NewFamily(res.CFG, epr.CandidateExprs(res.CFG))
 		var cost dataflow.Counter
 		ant, pan := fam.SolveDFG(res.DFG, &cost)
-		for k, ex := range exprs {
+		out := &AnticipResult{Solution: &anticip.Solution{Family: fam, ANT: ant, PAN: pan}}
+		for k, ex := range fam.Exprs {
 			ea := ExprAnticip{Expr: ex.String()}
 			for eid := 0; eid < res.CFG.NumEdges(); eid++ {
 				if ant.Bit(eid, k) {
@@ -502,16 +510,18 @@ func compute(st Stage, opts Options, res *Result) (any, error) {
 					ea.PanEdges++
 				}
 			}
-			out = append(out, ea)
+			out.PerExpr = append(out.PerExpr, ea)
 		}
 		return out, nil
 	case StageEPR:
 		// PerExpr reports the first round's analyses, which the
 		// transformation solves anyway before its first edit. They are
-		// solved on the dfg stage's graph, which EPR reads and never
-		// patches: only an edit makes it build a DFG of its own.
+		// solved on the dfg stage's graph and take their candidates and
+		// ANT/PAN rows from the anticip stage; EPR reads both and changes
+		// neither: only an edit makes it build a DFG and a family of its
+		// own.
 		out := &EPRResult{}
-		opt, st2, err := epr.ApplyObserved(res.CFG, res.DFG, epr.DriverDFG, func(as []*epr.Analysis) {
+		opt, st2, err := epr.ApplyObserved(res.CFG, res.DFG, res.Anticip.Solution, func(as []*epr.Analysis) {
 			for _, a := range as {
 				pe := EPRExpr{Expr: a.Expr.String(), Redundant: a.Redundant()}
 				for _, eid := range a.Insert {
@@ -571,7 +581,7 @@ func (r *Result) install(st Stage, v any) {
 	case StageConstprop:
 		r.Cprop = v.(*ConstpropResult)
 	case StageAnticip:
-		r.Anticip = v.([]ExprAnticip)
+		r.Anticip = v.(*AnticipResult)
 	case StageEPR:
 		r.EPR = v.(*EPRResult)
 	case StageExec:

@@ -39,7 +39,7 @@ func TestStageExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Stage{StageParse, StageCFG, StageRegions, StageDFG, StageEPR}
+	want := []Stage{StageParse, StageCFG, StageRegions, StageDFG, StageAnticip, StageEPR}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("expandStages(epr) = %v, want %v", got, want)
 	}

@@ -148,7 +148,9 @@ func (r *Result) Report() Report {
 			Agree:     r.Cprop.Agree,
 		}
 	}
-	rep.Anticip = r.Anticip
+	if r.Anticip != nil {
+		rep.Anticip = r.Anticip.PerExpr
+	}
 	rep.Exec = r.Exec
 	if r.EPR != nil {
 		rep.EPR = &EPRReport{

@@ -4,18 +4,23 @@ import (
 	"fmt"
 	"testing"
 
+	"dfg/internal/anticip"
+	"dfg/internal/bitset"
 	"dfg/internal/cdg"
+	"dfg/internal/dataflow"
 	"dfg/internal/dfg"
+	"dfg/internal/epr"
 	"dfg/internal/regions"
 	"dfg/internal/workload"
 )
 
 // TestSharedArtifactsStayUnmodified pins compute's "must not mutate res"
 // contract for the artifacts later stages share: the epr stage solves its
-// first round on the dfg stage's graph and the cdg stage reads the regions
-// stage's classes, and after a full request both still equal a fresh
-// build. It also pins the saving: a program EPR does not edit builds no
-// second DFG, and NestedSum, which it edits, builds at most one.
+// first round on the dfg stage's graph and the anticip stage's candidates
+// and ANT/PAN rows, and the cdg stage reads the regions stage's classes;
+// after a full request all of them still equal a fresh build. It also pins
+// the saving: a program EPR does not edit builds no second DFG, and
+// NestedSum, which it edits, builds at most one.
 func TestSharedArtifactsStayUnmodified(t *testing.T) {
 	type input struct {
 		name  string
@@ -53,6 +58,22 @@ func TestSharedArtifactsStayUnmodified(t *testing.T) {
 			t.Errorf("%s: cdg stage over the shared classes differs from BuildFactored:\n%s\nvs\n%s", in.name, got, want)
 		}
 
+		fam := anticip.NewFamily(res.CFG, epr.CandidateExprs(res.CFG))
+		var cost dataflow.Counter
+		ant, pan := fam.SolveDFG(fresh, &cost)
+		sol := res.Anticip.Solution
+		if fmt.Sprint(sol.Family.Exprs) != fmt.Sprint(fam.Exprs) || sol.Family.G != res.CFG {
+			t.Errorf("%s: the anticip stage's family changed during the request", in.name)
+		}
+		for _, m := range []struct {
+			name        string
+			stage, want *bitset.Matrix
+		}{{"COMP", sol.Family.Comp, fam.Comp}, {"KILL", sol.Family.Kill, fam.Kill}, {"ANT", sol.ANT, ant}, {"PAN", sol.PAN, pan}} {
+			if fmt.Sprint(m.stage.W) != fmt.Sprint(m.want.W) {
+				t.Errorf("%s: the anticip stage's %s rows changed during the request", in.name, m.name)
+			}
+		}
+
 		st := res.EPR.Stats
 		didEdit := st.Inserted+st.Replaced > 0
 		switch {
@@ -71,6 +92,38 @@ func TestSharedArtifactsStayUnmodified(t *testing.T) {
 	}
 	if edited == 0 || unedited == 0 {
 		t.Errorf("corpus must cover edited and unedited programs: %d edited, %d unedited", edited, unedited)
+	}
+}
+
+// TestEPRReadsTheAnticipSolve pins that a cold request runs
+// CandidateExprs, NewFamily and the DFG ANT/PAN solve once — in the anticip
+// stage — for a program EPR does not edit: the epr stage's first round
+// takes its candidates and ANT/PAN rows from that stage's solution. Handing
+// it a solution of one candidate with ANT cleared shows it: the epr report
+// then lists that one candidate, with no insertion. A second solve or a
+// second CandidateExprs would restore the others.
+func TestEPRReadsTheAnticipSolve(t *testing.T) {
+	src := workload.Mixed(15, 3).String()
+	res := mustAnalyze(t, New(Config{Workers: 1}), Request{Source: src})
+	if st := res.EPR.Stats; st.Inserted+st.Replaced != 0 || st.Rounds != 1 || len(res.EPR.PerExpr) < 2 || len(res.EPR.PerExpr[0].Insert) == 0 {
+		t.Fatalf("want an unedited program with several candidates, the first with an insertion; got %v and %+v", st, res.EPR.PerExpr)
+	}
+	sol := res.Anticip.Solution
+	if got, want := len(res.EPR.PerExpr), len(sol.Family.Exprs); got != want {
+		t.Fatalf("epr reports %d candidates, the anticip stage solved %d", got, want)
+	}
+	one := anticip.NewFamily(res.CFG, sol.Family.Exprs[:1])
+	var cost dataflow.Counter
+	ant, pan := one.SolveDFG(res.DFG, &cost)
+	bitset.WordsZero(ant.W)
+	res.Anticip = &AnticipResult{Solution: &anticip.Solution{Family: one, ANT: ant, PAN: pan}}
+	v, err := compute(StageEPR, Options{}, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := v.(*EPRResult).PerExpr
+	if len(per) != 1 || per[0].Expr != sol.Family.Exprs[0].String() || len(per[0].Insert) != 0 {
+		t.Fatalf("epr did not read the anticip stage's solution: %+v", per)
 	}
 }
 
