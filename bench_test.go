@@ -124,8 +124,9 @@ func BenchmarkE7_EPR(b *testing.B) {
 	}
 }
 
-// BenchmarkE8_CycleEquiv measures the O(E) cycle-equivalence pass and the
-// two control dependence constructions (§3.1).
+// BenchmarkE8_CycleEquiv measures the O(E) cycle-equivalence pass, the
+// factored partition built on it (what the pipeline's cdg stage serves)
+// and the postdominator-based FOW relation (§3.1).
 func BenchmarkE8_CycleEquiv(b *testing.B) {
 	for _, n := range []int{500, 2000, 8000} {
 		g := mustCFG(b, workload.Mixed(n, 7))
@@ -133,6 +134,11 @@ func BenchmarkE8_CycleEquiv(b *testing.B) {
 		b.Run(fmt.Sprintf("classes/E=%d", edges), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				regions.EdgeClasses(g)
+			}
+		})
+		b.Run(fmt.Sprintf("factored-partition/E=%d", edges), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cdg.BuildFactored(g)
 			}
 		})
 		b.Run(fmt.Sprintf("FOW/E=%d", edges), func(b *testing.B) {

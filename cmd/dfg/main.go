@@ -18,7 +18,9 @@
 //	-chains         print def-use chains
 //	-deps           print flow, anti, and output dependences (§6 extension)
 //	-ssa            print SSA form (Cytron and DFG-derived, with equivalence check)
-//	-cdg            print the factored control dependence graph
+//	-cdg            print the factored control dependence graph: the classes
+//	                from cycle equivalence, each with its dependence set
+//	                from the postdominator baseline
 //	-constprop      run constant propagation (CFG and DFG algorithms, compared)
 //	-epr            run partial redundancy elimination
 //	-run            interpret the program (inputs from -input)
@@ -66,6 +68,7 @@ import (
 	"dfg/internal/bccompile"
 	"dfg/internal/bcfront"
 	"dfg/internal/bytecode"
+	"dfg/internal/cdg"
 	"dfg/internal/constprop"
 	"dfg/internal/defuse"
 	"dfg/internal/deps"
@@ -321,7 +324,9 @@ func runTool(opts options, src []byte, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(w, res.CDG)
+		// The stage serves the partition; the per-class dependence sets
+		// printed beside it come from the postdominator baseline.
+		fmt.Fprint(w, res.CDG.Format(cdg.ClassDeps(res.CFG, res.CDG, cdg.BuildFOW(res.CFG))))
 		return nil
 
 	case opts.constprop:

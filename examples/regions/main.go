@@ -52,8 +52,11 @@ func main() {
 
 	// The same partition drives the factored control dependence graph —
 	// every class of nodes with identical control dependence appears once.
+	// Each class's dependence set is read off the postdominator baseline at
+	// one member.
 	fmt.Println("== factored control dependence graph ==")
-	fmt.Print(cdg.BuildFactored(g))
+	fact := cdg.BuildFactored(g)
+	fmt.Print(fact.Format(cdg.ClassDeps(g, fact, cdg.BuildFOW(g))))
 
 	// And SSA construction without dominance frontiers: derive it from the
 	// DFG and check it against the classic construction.

@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"dfg/internal/bytecode"
+	"dfg/internal/dataflow"
 	"dfg/internal/interp"
 	"dfg/internal/lang/token"
 )
@@ -63,40 +64,9 @@ func recErr(in bytecode.Instr, kind ErrKind, format string, args ...any) *Recove
 	return &RecoverError{Offset: in.Offset, OpName: in.Op.String(), Kind: kind, Reason: fmt.Sprintf(format, args...)}
 }
 
-// absKind discriminates the flat lattice ⊥ < Const(v) < ⊤.
-type absKind uint8
-
-const (
-	absBot absKind = iota
-	absConst
-	absTop
-)
-
-// absVal is one abstract stack slot.
-type absVal struct {
-	kind absKind
-	v    interp.Value
-}
-
-var top = absVal{kind: absTop}
-
-func constOf(v interp.Value) absVal { return absVal{kind: absConst, v: v} }
-
-// lub is the least upper bound of two slots.
-func lub(a, b absVal) absVal {
-	switch {
-	case a.kind == absBot:
-		return b
-	case b.kind == absBot:
-		return a
-	case a.kind == absConst && b.kind == absConst && a.v == b.v:
-		return a
-	}
-	return top
-}
-
-// absStack is an abstract operand stack; index 0 is the bottom.
-type absStack []absVal
+// absStack is an abstract operand stack; index 0 is the bottom. Its slots
+// range over the constant-propagation lattice dataflow.ConstVal.
+type absStack []dataflow.ConstVal
 
 // clone copies s. The copy is non-nil even when empty: nil states mean
 // "unreached" throughout recovery, and an empty stack is the common reached
@@ -117,7 +87,7 @@ func join(dst, src absStack, at bytecode.Instr) (absStack, bool, error) {
 	}
 	changed := false
 	for i := range dst {
-		m := lub(dst[i], src[i])
+		m := dst[i].Join(src[i])
 		if m != dst[i] {
 			dst[i] = m
 			changed = true
@@ -164,18 +134,18 @@ func newAbsint(p *bytecode.Program) (*absint, error) {
 
 // resolve maps an abstract jump-target slot to a successor instruction
 // index.
-func (a *absint) resolve(in bytecode.Instr, tgt absVal) (int, error) {
-	switch tgt.kind {
-	case absConst:
-		if tgt.v.B {
-			return 0, recErr(in, ErrBadTarget, "jump target is boolean %s", tgt.v)
+func (a *absint) resolve(in bytecode.Instr, tgt dataflow.ConstVal) (int, error) {
+	switch tgt.Kind {
+	case dataflow.Const:
+		if tgt.Val.B {
+			return 0, recErr(in, ErrBadTarget, "jump target is boolean %s", tgt.Val)
 		}
-		if tgt.v.I == int64(len(a.p.Code)) {
+		if tgt.Val.I == int64(len(a.p.Code)) {
 			return endTarget, nil
 		}
-		idx, ok := a.at[int(tgt.v.I)]
-		if !ok || tgt.v.I < 0 {
-			return 0, recErr(in, ErrBadTarget, "jump target %d is not an instruction boundary", tgt.v.I)
+		idx, ok := a.at[int(tgt.Val.I)]
+		if !ok || tgt.Val.I < 0 {
+			return 0, recErr(in, ErrBadTarget, "jump target %d is not an instruction boundary", tgt.Val.I)
 		}
 		return idx, nil
 	default:
@@ -188,9 +158,9 @@ func (a *absint) step(i int, in absStack) (flow, error) {
 	ins := a.instrs[i]
 	s := in.clone()
 	f := flow{target: -1}
-	pop := func() (absVal, bool) {
+	pop := func() (dataflow.ConstVal, bool) {
 		if len(s) == 0 {
-			return absVal{}, false
+			return dataflow.Bottom, false
 		}
 		v := s[len(s)-1]
 		s = s[:len(s)-1]
@@ -212,9 +182,9 @@ func (a *absint) step(i int, in absStack) (flow, error) {
 		return f, nil
 	case bytecode.OpNop, bytecode.OpRead:
 	case bytecode.OpPushI:
-		s = append(s, constOf(interp.IntVal(ins.Imm)))
+		s = append(s, dataflow.ConstOf(interp.IntVal(ins.Imm)))
 	case bytecode.OpPushB:
-		s = append(s, constOf(interp.BoolVal(ins.Arg != 0)))
+		s = append(s, dataflow.ConstOf(interp.BoolVal(ins.Arg != 0)))
 	case bytecode.OpPop, bytecode.OpStore, bytecode.OpPrint:
 		if _, ok := pop(); !ok {
 			return underflow()
@@ -232,7 +202,7 @@ func (a *absint) step(i int, in absStack) (flow, error) {
 		s[x], s[y] = s[y], s[x]
 	case bytecode.OpLoad:
 		// Variables are not tracked by the abstract domain: a load is ⊤.
-		s = append(s, top)
+		s = append(s, dataflow.TopVal)
 	case bytecode.OpJump:
 		tgt, ok := pop()
 		if !ok {
@@ -242,8 +212,8 @@ func (a *absint) step(i int, in absStack) (flow, error) {
 		if err != nil {
 			return f, err
 		}
-		if tgt.kind == absConst {
-			f.target = int(tgt.v.I)
+		if tgt.Kind == dataflow.Const {
+			f.target = int(tgt.Val.I)
 		}
 		f.out = s
 		f.succs = []int{idx}
@@ -258,8 +228,8 @@ func (a *absint) step(i int, in absStack) (flow, error) {
 		if err != nil {
 			return f, err
 		}
-		if tgt.kind == absConst {
-			f.target = int(tgt.v.I)
+		if tgt.Kind == dataflow.Const {
+			f.target = int(tgt.Val.I)
 		}
 		// Both arms stay successors even when the condition folds to a
 		// constant: the source frontend keeps structurally-dead arms too
@@ -291,45 +261,45 @@ func (a *absint) step(i int, in absStack) (flow, error) {
 
 // foldUnary folds a unary operator over the lattice; a fold that would trap
 // is ⊤ (the trap is the runtime's business, not the CFG's).
-func foldUnary(op bytecode.Op, x absVal) absVal {
-	if x.kind != absConst {
-		return top
+func foldUnary(op bytecode.Op, x dataflow.ConstVal) dataflow.ConstVal {
+	if x.Kind != dataflow.Const {
+		return dataflow.TopVal
 	}
 	k := token.NOT
 	if op == bytecode.OpNeg {
 		k = token.MINUS
 	}
-	v, err := interp.ApplyUnary(k, x.v)
+	v, err := interp.ApplyUnary(k, x.Val)
 	if err != nil {
-		return top
+		return dataflow.TopVal
 	}
-	return constOf(v)
+	return dataflow.ConstOf(v)
 }
 
 // foldBinary folds a strict binary operator (including strict and/or) over
 // the lattice.
-func foldBinary(op bytecode.Op, x, y absVal) absVal {
-	if x.kind != absConst || y.kind != absConst {
-		return top
+func foldBinary(op bytecode.Op, x, y dataflow.ConstVal) dataflow.ConstVal {
+	if x.Kind != dataflow.Const || y.Kind != dataflow.Const {
+		return dataflow.TopVal
 	}
 	if op == bytecode.OpAnd || op == bytecode.OpOr {
-		if !x.v.B || !y.v.B {
-			return top // would trap at runtime
+		if !x.Val.B || !y.Val.B {
+			return dataflow.TopVal // would trap at runtime
 		}
 		if op == bytecode.OpAnd {
-			return constOf(interp.BoolVal(x.v.Bool && y.v.Bool))
+			return dataflow.ConstOf(interp.BoolVal(x.Val.Bool && y.Val.Bool))
 		}
-		return constOf(interp.BoolVal(x.v.Bool || y.v.Bool))
+		return dataflow.ConstOf(interp.BoolVal(x.Val.Bool || y.Val.Bool))
 	}
 	k, ok := bytecode.BinaryToken(op)
 	if !ok {
-		return top
+		return dataflow.TopVal
 	}
-	v, err := interp.ApplyBinary(k, x.v, y.v)
+	v, err := interp.ApplyBinary(k, x.Val, y.Val)
 	if err != nil {
-		return top
+		return dataflow.TopVal
 	}
-	return constOf(v)
+	return dataflow.ConstOf(v)
 }
 
 // run drives the worklist to fixpoint. Termination: a slot only moves up

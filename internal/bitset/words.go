@@ -85,11 +85,12 @@ func (m *Matrix) Column(k int) []bool {
 
 // The word-slice kernels below operate on equal-length rows. They are the
 // entire inner loop of the batched solvers, so they stay free of bounds
-// re-checks by pinning the destination length.
+// re-checks by reslicing each source to the destination's length, which
+// also admits zero-width rows.
 
 // WordsOr sets dst |= src.
 func WordsOr(dst, src []uint64) {
-	_ = src[len(dst)-1]
+	src = src[:len(dst)]
 	for i := range dst {
 		dst[i] |= src[i]
 	}
@@ -97,7 +98,7 @@ func WordsOr(dst, src []uint64) {
 
 // WordsAnd sets dst &= src.
 func WordsAnd(dst, src []uint64) {
-	_ = src[len(dst)-1]
+	src = src[:len(dst)]
 	for i := range dst {
 		dst[i] &= src[i]
 	}
@@ -105,7 +106,7 @@ func WordsAnd(dst, src []uint64) {
 
 // WordsAndNot sets dst &^= src.
 func WordsAndNot(dst, src []uint64) {
-	_ = src[len(dst)-1]
+	src = src[:len(dst)]
 	for i := range dst {
 		dst[i] &^= src[i]
 	}
@@ -114,8 +115,8 @@ func WordsAndNot(dst, src []uint64) {
 // WordsAndOr sets dst &= a | b (the masked-combine kernel of the batched
 // per-variable projections: dst &= projection ∨ ¬mask).
 func WordsAndOr(dst, a, b []uint64) {
-	_ = a[len(dst)-1]
-	_ = b[len(dst)-1]
+	a = a[:len(dst)]
+	b = b[:len(dst)]
 	for i := range dst {
 		dst[i] &= a[i] | b[i]
 	}
@@ -123,7 +124,7 @@ func WordsAndOr(dst, a, b []uint64) {
 
 // WordsEqual reports whether a and b hold the same bits.
 func WordsEqual(a, b []uint64) bool {
-	_ = b[len(a)-1]
+	b = b[:len(a)]
 	for i := range a {
 		if a[i] != b[i] {
 			return false

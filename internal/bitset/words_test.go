@@ -103,3 +103,25 @@ func TestWordKernels(t *testing.T) {
 		t.Fatalf("WordsFill full tail = %x", fill[1])
 	}
 }
+
+// TestWordKernelsZeroWidth runs every kernel on zero-width rows, the rows
+// of a family with no members (a program without definitions or
+// candidate expressions).
+func TestWordKernelsZeroWidth(t *testing.T) {
+	var dst, a, b []uint64
+	empty := []uint64{}
+	WordsOr(dst, a)
+	WordsAnd(dst, a)
+	WordsAndNot(empty, a)
+	WordsAndOr(dst, a, b)
+	WordsZero(empty)
+	WordsFill(dst, 0)
+	if !WordsEqual(dst, empty) || WordsAny(dst) || WordsCount(empty) != 0 {
+		t.Fatal("zero-width rows must compare equal and hold no bits")
+	}
+	m := NewMatrix(3, 0)
+	WordsOr(m.Row(0), m.Row(1))
+	if m.Stride != 0 || len(m.Row(2)) != 0 {
+		t.Fatalf("zero-width matrix: stride %d, row %d words", m.Stride, len(m.Row(2)))
+	}
+}

@@ -1,20 +1,22 @@
 // Package cdg computes control dependence two ways:
 //
+//   - Factored: the paper's O(E) construction (§3.1, "this algorithm can be
+//     used to build a program's control dependence graph in O(E) time").
+//     Control-dependence-equivalent nodes are grouped into classes using
+//     cycle equivalence — without computing dominators or postdominance
+//     frontiers — and each class appears once in the factored graph. This
+//     partition is what the pipeline's cdg stage serves.
+//
 //   - FOW: the classic Ferrante–Ottenstein–Warren construction via
 //     postdominance frontiers on the ENTRY-augmented CFG. This is the
 //     baseline the paper improves on; its output is the full control
 //     dependence relation (node → set of controlling branch edges) and can
 //     be Θ(N·E) in size and time.
 //
-//   - Factored: the paper's O(E) construction (§3.1, "this algorithm can be
-//     used to build a program's control dependence graph in O(E) time").
-//     Control-dependence-equivalent nodes are grouped into region classes
-//     using cycle equivalence — without computing dominators or
-//     postdominance frontiers — and each class appears once in the factored
-//     graph. The full relation is recovered per class rather than per node.
-//
-// Both produce comparable signatures so tests can check them against each
-// other.
+// The per-class dependence sets come from postdominators: ClassDeps reads
+// each class's set off the FOW relation at one representative member.
+// Deriving them in O(E) from the program structure tree would be a further
+// algorithm; nothing served needs the sets, only the partition.
 package cdg
 
 import (
@@ -107,53 +109,39 @@ func sortDeps(deps []Dep) {
 	sort.Slice(deps, func(i, j int) bool { return deps[i].Edge < deps[j].Edge })
 }
 
-// Signature returns a canonical string for n's control dependence set.
-func (f *FOW) Signature(n cfg.NodeID) string {
-	parts := make([]string, len(f.Deps[n]))
-	for i, d := range f.Deps[n] {
-		parts[i] = d.String()
-	}
-	return strings.Join(parts, ",")
-}
-
 // ---------------------------------------------------------------------------
 // Factored CDG via cycle equivalence
 
-// Factored is the paper's factored control dependence graph: nodes with the
-// same control dependence share a class, and the relation is stored once
-// per class.
+// Factored is the paper's factored control dependence graph as a
+// partition: nodes with the same control dependence share a class.
 type Factored struct {
-	// ClassOf maps every CFG node to its control-dependence class.
-	ClassOf map[cfg.NodeID]int
+	// ClassOf maps every CFG node, indexed by NodeID, to its
+	// control-dependence class.
+	ClassOf []int
 	// NumClasses is the number of distinct classes.
 	NumClasses int
-	// Members lists the nodes of each class.
+	// Members lists the nodes of each class, ascending.
 	Members [][]cfg.NodeID
-	// ClassDeps lists, per class, the controlling branch edges (computed
-	// once per class from a representative).
-	ClassDeps [][]Dep
 }
 
-// BuildFactored groups CFG nodes by control dependence in O(E) using edge
-// cycle equivalence: a node with a single in-edge shares its in-edge's
-// class (switches, assignments); a node with a single out-edge shares its
-// out-edge's class (merges); start/end belong to the class of start's
-// out-edge. Per-class dependence sets are then copied from one
-// representative per class out of the full FOW relation, which BuildFOW
-// computes over every node. It runs regions.EdgeClasses itself; a caller
-// that already holds the classes (the pipeline's regions stage) passes them
-// to BuildFactoredWithClasses instead.
+// BuildFactored groups CFG nodes by control dependence in O(E). It runs
+// regions.EdgeClasses itself; a caller that already holds the classes (the
+// pipeline's regions stage) passes them to BuildFactoredWithClasses
+// instead.
 func BuildFactored(g *cfg.Graph) *Factored {
 	edgeClass, _ := regions.EdgeClasses(g)
 	return BuildFactoredWithClasses(g, edgeClass)
 }
 
-// BuildFactoredWithClasses is BuildFactored over precomputed edge classes:
-// edgeClass maps every live edge of g to its control dependence class, as
-// regions.EdgeClasses (or regions.Info.ClassOf) does. It reads edgeClass
-// and never modifies it.
+// BuildFactoredWithClasses groups CFG nodes by control dependence using
+// edge cycle equivalence: a node with a single in-edge shares its in-edge's
+// class (switches, assignments); a node with a single out-edge shares its
+// out-edge's class (merges); start/end belong to the class of start's
+// out-edge. edgeClass maps every live edge of g to its control dependence
+// class, as regions.EdgeClasses (or regions.Info.ClassOf) does; it is read
+// and never modified.
 func BuildFactoredWithClasses(g *cfg.Graph, edgeClass []int) *Factored {
-	f := &Factored{ClassOf: make(map[cfg.NodeID]int, g.NumNodes())}
+	f := &Factored{ClassOf: make([]int, g.NumNodes())}
 	// renum[ec] is the node class of edge class ec, numbered in node order.
 	renum := make([]int, len(edgeClass))
 	for i := range renum {
@@ -190,62 +178,52 @@ func BuildFactoredWithClasses(g *cfg.Graph, edgeClass []int) *Factored {
 		f.ClassOf[nd.ID] = renum[ec]
 	}
 	f.Members = make([][]cfg.NodeID, f.NumClasses)
-	for _, nd := range g.Nodes {
-		c := f.ClassOf[nd.ID]
-		f.Members[c] = append(f.Members[c], nd.ID)
-	}
-
-	// Fill per-class dependence sets from one representative node each. The
-	// end node is skipped as representative: classic FOW leaves its set
-	// empty by convention even when it shares a class with unconditional
-	// nodes.
-	fow := BuildFOW(g)
-	f.ClassDeps = make([][]Dep, f.NumClasses)
-	for c, members := range f.Members {
-		for _, m := range members {
-			if m != g.End {
-				f.ClassDeps[c] = fow.Deps[m]
-				break
-			}
-		}
+	for id, c := range f.ClassOf {
+		f.Members[c] = append(f.Members[c], cfg.NodeID(id))
 	}
 	return f
 }
 
-// PartitionOnly computes just the control-dependence partition of the
-// nodes — the O(E) part of the construction, with no postdominators at all
-// and no dependence sets. This is what experiment E8 benchmarks against
-// BuildFOW.
-func PartitionOnly(g *cfg.Graph) map[cfg.NodeID]int {
-	edgeClass, _ := regions.EdgeClasses(g)
-	out := make(map[cfg.NodeID]int, g.NumNodes())
-	for _, nd := range g.Nodes {
-		if ins := g.InEdges(nd.ID); len(ins) == 1 {
-			out[nd.ID] = edgeClass[ins[0]]
-		} else if outs := g.OutEdges(nd.ID); len(outs) == 1 {
-			out[nd.ID] = edgeClass[outs[0]]
-		} else if ins := g.InEdges(nd.ID); len(ins) > 0 {
-			out[nd.ID] = edgeClass[ins[0]]
-		} else if outs := g.OutEdges(nd.ID); len(outs) > 0 {
-			out[nd.ID] = edgeClass[outs[0]]
+// ClassDeps returns each class's control dependence set, read off the FOW
+// relation at one representative member: every member of a class has the
+// same set, which is what lets the factored graph store it once. The end
+// node is never the representative, since classic FOW leaves its set empty
+// by convention even when it shares a class with the unconditional nodes.
+func ClassDeps(g *cfg.Graph, f *Factored, fow *FOW) [][]Dep {
+	deps := make([][]Dep, f.NumClasses)
+	for c, members := range f.Members {
+		for _, m := range members {
+			if m != g.End {
+				deps[c] = fow.Deps[m]
+				break
+			}
 		}
 	}
-	return out
+	return deps
 }
 
-// String renders the factored CDG, one class per line.
-func (f *Factored) String() string {
+// String renders the partition, one class per line.
+func (f *Factored) String() string { return f.Format(nil) }
+
+// Format renders the factored CDG, one class per line, followed on each
+// line by the class's dependence set when deps (as ClassDeps returns) is
+// non-nil.
+func (f *Factored) Format(deps [][]Dep) string {
 	var b strings.Builder
 	for c, members := range f.Members {
 		ids := make([]string, len(members))
 		for i, m := range members {
 			ids[i] = fmt.Sprintf("n%d", m)
 		}
-		deps := make([]string, len(f.ClassDeps[c]))
-		for i, d := range f.ClassDeps[c] {
-			deps[i] = d.String()
+		fmt.Fprintf(&b, "class %d: {%s}", c, strings.Join(ids, ","))
+		if deps != nil {
+			ds := make([]string, len(deps[c]))
+			for i, d := range deps[c] {
+				ds[i] = d.String()
+			}
+			fmt.Fprintf(&b, " deps {%s}", strings.Join(ds, ","))
 		}
-		fmt.Fprintf(&b, "class %d: {%s} deps {%s}\n", c, strings.Join(ids, ","), strings.Join(deps, ","))
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -1,10 +1,14 @@
 package cdg
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"dfg/internal/cfg"
+	"dfg/internal/lang/ast"
 	"dfg/internal/lang/parser"
+	"dfg/internal/regions"
 	"dfg/internal/workload"
 )
 
@@ -83,6 +87,35 @@ func TestFOWLoop(t *testing.T) {
 	}
 }
 
+// corpus is the partition tests' programs: random mixed and goto programs
+// plus a few seeds of each program family of the cold-mixed benchmark
+// workload, so the partition is checked on the shapes the server sees.
+func corpus(t *testing.T) map[string]*cfg.Graph {
+	t.Helper()
+	out := map[string]*cfg.Graph{}
+	add := func(name string, p *ast.Program) {
+		g, err := cfg.Build(p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out[name] = g
+	}
+	for seed := int64(0); seed < 25; seed++ {
+		add(fmt.Sprintf("Mixed(30,%d)", seed), workload.Mixed(30, seed))
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		add(fmt.Sprintf("GotoMess(8,%d)", seed), workload.GotoMess(8, seed))
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		add(fmt.Sprintf("LoopNest(6,4,%d)", seed), workload.LoopNest(6, 4, seed))
+		add(fmt.Sprintf("Irreducible(40,%d)", seed), workload.Irreducible(40, seed))
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		add(fmt.Sprintf("Wide(300,%d)", seed), workload.Wide(300, seed))
+	}
+	return out
+}
+
 // partitionFromFOW groups nodes by CD-set signature. The end node is
 // excluded: classic FOW gives it an empty dependence set by convention,
 // while cycle equivalence groups it with the unconditional nodes (it lies
@@ -94,7 +127,7 @@ func partitionFromFOW(g *cfg.Graph, fow *FOW) map[cfg.NodeID]int {
 		if nd.ID == g.End {
 			continue
 		}
-		sig := fow.Signature(nd.ID)
+		sig := fmt.Sprint(fow.Deps[nd.ID])
 		c, ok := renum[sig]
 		if !ok {
 			c = len(renum)
@@ -128,12 +161,13 @@ func samePartition(a, b map[cfg.NodeID]int) bool {
 	return true
 }
 
-// dropEnd removes the end node from a node→class map (see partitionFromFOW).
-func dropEnd(g *cfg.Graph, m map[cfg.NodeID]int) map[cfg.NodeID]int {
-	out := make(map[cfg.NodeID]int, len(m))
-	for k, v := range m {
-		if k != g.End {
-			out[k] = v
+// dropEnd turns a factored partition into a node→class map without the end
+// node (see partitionFromFOW).
+func dropEnd(g *cfg.Graph, f *Factored) map[cfg.NodeID]int {
+	out := make(map[cfg.NodeID]int, len(f.ClassOf))
+	for id, c := range f.ClassOf {
+		if cfg.NodeID(id) != g.End {
+			out[cfg.NodeID(id)] = c
 		}
 	}
 	return out
@@ -150,7 +184,7 @@ func TestFactoredMatchesFOWPartition(t *testing.T) {
 		g := build(t, src)
 		fact := BuildFactored(g)
 		fow := BuildFOW(g)
-		if !samePartition(dropEnd(g, fact.ClassOf), partitionFromFOW(g, fow)) {
+		if !samePartition(dropEnd(g, fact), partitionFromFOW(g, fow)) {
 			t.Errorf("partitions differ for %q\nfactored: %v\nfow-part: %v\ncfg:\n%s",
 				src, fact.ClassOf, partitionFromFOW(g, fow), g)
 		}
@@ -158,73 +192,74 @@ func TestFactoredMatchesFOWPartition(t *testing.T) {
 }
 
 func TestFactoredMatchesFOWRandom(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		g, err := cfg.Build(workload.Mixed(30, seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fact := BuildFactored(g)
-		fow := BuildFOW(g)
-		if !samePartition(dropEnd(g, fact.ClassOf), partitionFromFOW(g, fow)) {
-			t.Errorf("seed %d: factored and FOW partitions differ\ncfg:\n%s", seed, g)
-		}
-	}
-	for seed := int64(0); seed < 12; seed++ {
-		g, err := cfg.Build(workload.GotoMess(8, seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fact := BuildFactored(g)
-		fow := BuildFOW(g)
-		if !samePartition(dropEnd(g, fact.ClassOf), partitionFromFOW(g, fow)) {
-			t.Errorf("goto seed %d: factored and FOW partitions differ\ncfg:\n%s", seed, g)
+	for name, g := range corpus(t) {
+		if !samePartition(dropEnd(g, BuildFactored(g)), partitionFromFOW(g, BuildFOW(g))) {
+			t.Errorf("%s: factored and FOW partitions differ\ncfg:\n%s", name, g)
 		}
 	}
 }
 
+// TestFactoredClassDepsMatchMembers: every non-end member of a class has
+// exactly the dependence set ClassDeps reads off the class's
+// representative. That is what justifies reading the set off one member.
 func TestFactoredClassDepsMatchMembers(t *testing.T) {
-	// Every member of a class must have exactly the class's dependence set.
-	g := build(t, `read p; if (p > 0) { x := 1; if (p > 1) { x := 2; } } print x;`)
-	fact := BuildFactored(g)
-	fow := BuildFOW(g)
-	for c, members := range fact.Members {
-		var reps []cfg.NodeID
-		for _, m := range members {
-			if m != g.End {
-				reps = append(reps, m)
-			}
-		}
-		if len(reps) == 0 {
-			continue
-		}
-		want := fow.Signature(reps[0])
-		for _, m := range reps {
-			if got := fow.Signature(m); got != want {
-				t.Errorf("class %d member n%d has deps %q, class rep has %q (class deps %v)",
-					c, m, got, want, fact.ClassDeps[c])
+	progs := corpus(t)
+	progs["nested ifs"] = build(t, `read p; if (p > 0) { x := 1; if (p > 1) { x := 2; } } print x;`)
+	for name, g := range progs {
+		fact := BuildFactored(g)
+		fow := BuildFOW(g)
+		deps := ClassDeps(g, fact, fow)
+		for c, members := range fact.Members {
+			want := fmt.Sprint(deps[c])
+			for _, m := range members {
+				if m == g.End {
+					continue
+				}
+				if got := fmt.Sprint(fow.Deps[m]); got != want {
+					t.Errorf("%s: class %d member n%d has deps %q, the class has %q", name, c, m, got, want)
+				}
 			}
 		}
 	}
 }
 
-func TestPartitionOnlyConsistent(t *testing.T) {
-	g := build(t, "read p; while (p > 0) { p := p - 1; } print p;")
-	part := PartitionOnly(g)
-	fact := BuildFactored(g)
-	// PartitionOnly returns raw edge-class ids; compare as partitions.
-	a := map[cfg.NodeID]int{}
-	for k, v := range part {
-		a[k] = v
+// TestServedPartitionAllocs gates the allocations of what the pipeline's
+// cdg stage runs: the partition over the regions stage's edge classes. It
+// makes a few slices per class; building the FOW relation as well cost
+// about ten times as many.
+func TestServedPartitionAllocs(t *testing.T) {
+	type prog struct {
+		g       *cfg.Graph
+		classes []int
 	}
-	if !samePartition(a, fact.ClassOf) {
-		t.Errorf("PartitionOnly disagrees with BuildFactored")
+	var progs []prog
+	for seed := int64(1); seed <= 8; seed++ {
+		g, err := cfg.Build(workload.Mixed(15, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		classes, _ := regions.EdgeClasses(g)
+		progs = append(progs, prog{g, classes})
 	}
+	perProgram := testing.AllocsPerRun(20, func() {
+		for _, p := range progs {
+			BuildFactoredWithClasses(p.g, p.classes)
+		}
+	}) / float64(len(progs))
+	if perProgram > 60 {
+		t.Errorf("served partition: %.1f allocations per program, want <= 60", perProgram)
+	}
+	t.Logf("served partition: %.1f allocations per program", perProgram)
 }
 
 func TestFactoredString(t *testing.T) {
 	g := build(t, "read p; if (p) { x := 1; } print p;")
-	s := BuildFactored(g).String()
-	if s == "" {
-		t.Error("empty String()")
+	fact := BuildFactored(g)
+	if s := fact.String(); s == "" || strings.Contains(s, "deps") {
+		t.Errorf("String() renders the partition alone, got %q", s)
+	}
+	withDeps := fact.Format(ClassDeps(g, fact, BuildFOW(g)))
+	if !strings.Contains(withDeps, "class 0: {") || !strings.Contains(withDeps, "deps {ENTRY}") {
+		t.Errorf("Format(ClassDeps) = %q", withDeps)
 	}
 }

@@ -340,9 +340,13 @@ func DFGOpt(d *dfg.Graph, opts Options) *Result {
 		}
 	}
 
-	// Seed with the init operators; everything else follows.
-	for _, oid := range d.InitOf {
-		wl.Push(int(oid))
+	// Seed with the init operators in variable order (not the map's, which
+	// would make the visit counts vary from run to run); everything else
+	// follows.
+	for _, v := range append([]string{dfg.CtlVar, dfg.IOVar}, g.VarNames...) {
+		if oid, ok := d.InitOf[v]; ok {
+			wl.Push(int(oid))
+		}
 	}
 	for {
 		oi, ok := wl.Pop()

@@ -1,6 +1,8 @@
 package constprop
 
 import (
+	"fmt"
+	"os"
 	"testing"
 
 	"dfg/internal/cfg"
@@ -351,6 +353,34 @@ func TestCostAccounting(t *testing.T) {
 	cfgR, dfgR, _ := runAll(t, g)
 	if cfgR.Cost.Total() == 0 || dfgR.Cost.Total() == 0 {
 		t.Errorf("costs not recorded: cfg=%v dfg=%v", cfgR.Cost, dfgR.Cost)
+	}
+}
+
+// TestDFGCostDeterministic: the sparse algorithm's operation counts are a
+// function of the program, so a count-based comparison (E4) reads the same
+// figure on every run.
+func TestDFGCostDeterministic(t *testing.T) {
+	src, err := os.ReadFile("../../examples/programs/constprop.dfg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := map[string]*cfg.Graph{"constprop.dfg": build(t, string(src))}
+	for seed := int64(1); seed <= 8; seed++ {
+		g, err := cfg.Build(workload.Mixed(15, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs[fmt.Sprintf("Mixed(15,%d)", seed)] = g
+	}
+	for name, g := range progs {
+		for _, opts := range []Options{{}, {Predicates: true}} {
+			first := DFGOpt(dfg.MustBuild(g), opts).Cost
+			for run := 1; run < 20; run++ {
+				if got := DFGOpt(dfg.MustBuild(g), opts).Cost; got != first {
+					t.Fatalf("%s %+v: run %d cost %+v, run 0 cost %+v", name, opts, run, got, first)
+				}
+			}
+		}
 	}
 }
 

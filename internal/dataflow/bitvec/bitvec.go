@@ -175,7 +175,7 @@ func (s *Solution[N, E]) Reached(n N) bool { return s.p.Entry < 0 || s.reached.H
 func (s *Solution[N, E]) meet(n N, dst []uint64) int {
 	ins := s.flowIn(n)
 	bitset.WordsZero(dst)
-	if len(ins) == 0 || len(dst) == 0 {
+	if len(ins) == 0 {
 		return 0
 	}
 	if s.p.Must {

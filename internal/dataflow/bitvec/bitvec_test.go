@@ -118,3 +118,15 @@ func TestBackwardMust(t *testing.T) {
 		t.Error("a node without out-edges reads ∅")
 	}
 }
+
+// TestZeroWidthFamily: a family with no members solves to empty rows, and
+// reading a meet over them is a no-op rather than a panic.
+func TestZeroWidthFamily(t *testing.T) {
+	g := loopGraph()
+	for _, must := range []bool{false, true} {
+		s := Solve[int, int](g, Problem{Forward: true, Must: must, Bits: 0, Gen: rows(5, 0), Entry: 0})
+		var in []uint64
+		s.In(3, in)
+		s.In(1, in)
+	}
+}

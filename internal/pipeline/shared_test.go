@@ -54,7 +54,9 @@ func TestSharedArtifactsStayUnmodified(t *testing.T) {
 		if fmt.Sprint(res.Regions.ClassOf) != fmt.Sprint(classOf) || res.Regions.NumClasses != num {
 			t.Errorf("%s: the regions stage's classes changed during the request", in.name)
 		}
-		if got, want := res.CDG.String(), cdg.BuildFactored(res.CFG).String(); got != want {
+		fact, fow := cdg.BuildFactored(res.CFG), cdg.BuildFOW(res.CFG)
+		got := res.CDG.Format(cdg.ClassDeps(res.CFG, res.CDG, fow))
+		if want := fact.Format(cdg.ClassDeps(res.CFG, fact, fow)); got != want {
 			t.Errorf("%s: cdg stage over the shared classes differs from BuildFactored:\n%s\nvs\n%s", in.name, got, want)
 		}
 

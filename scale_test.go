@@ -4,6 +4,7 @@
 package main
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -56,11 +57,19 @@ func TestPipelineAtScale(t *testing.T) {
 		}
 	}
 
-	// Factored CDG partition matches FOW signatures at scale (spot check:
-	// counts of classes must be sane).
+	// Factored CDG partition at scale: a sane class count, and every
+	// non-end member of a class carries the FOW dependence set read off the
+	// class's representative.
 	fact := cdg.BuildFactored(g)
 	if fact.NumClasses < 2 || fact.NumClasses > g.NumNodes() {
 		t.Fatalf("implausible class count %d", fact.NumClasses)
+	}
+	fow := cdg.BuildFOW(g)
+	classDeps := cdg.ClassDeps(g, fact, fow)
+	for id, c := range fact.ClassOf {
+		if n := cfg.NodeID(id); n != g.End && fmt.Sprint(fow.Deps[n]) != fmt.Sprint(classDeps[c]) {
+			t.Fatalf("n%d: FOW deps %v, its class %d has %v", n, fow.Deps[n], c, classDeps[c])
+		}
 	}
 
 	if el := time.Since(start); el > 5*time.Minute {
