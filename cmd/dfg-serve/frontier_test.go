@@ -130,10 +130,10 @@ func TestFrontierDifferential(t *testing.T) {
 		}
 	}
 
-	// Every item was routed, none errored. (Keyspace spread across backends
-	// is asserted deterministically in internal/frontier over 300 keys —
-	// with the random ports here, 16 keys occasionally all hash to one of
-	// two backends, which is legal consistent-hash behavior.)
+	// Every item was routed, none errored. (Placement balance is asserted
+	// in internal/frontier's TestPlacementBalance over stable names; the
+	// backends here are named by their random ports, and rendezvous hashing
+	// may legally place all 16 keys on one of the two.)
 	st := f.Stats()
 	var total int64
 	for _, b := range st.Backends {
@@ -229,8 +229,9 @@ func TestFrontierWorkerRestartRetry(t *testing.T) {
 	}
 }
 
-// TestFrontierBatchSurvivesWorkerDeath: the /analyze/batch path re-routes
-// the dead backend's items individually.
+// TestFrontierBatchSurvivesWorkerDeath: each /analyze/batch slot is routed
+// on its own, so a slot whose backend dies mid-batch fails over to the
+// next replica like a single request.
 func TestFrontierBatchSurvivesWorkerDeath(t *testing.T) {
 	w1 := startTestWorker(t, "", 15*time.Millisecond)
 	w2 := startTestWorker(t, "", 15*time.Millisecond)
@@ -266,6 +267,80 @@ func TestFrontierBatchSurvivesWorkerDeath(t *testing.T) {
 			t.Fatalf("batch item %d failed across worker death: %s", i, r.Error)
 		}
 	}
+}
+
+// TestBatchSlotsTakeTheRoute: batch slots go through the same route as
+// single requests. Copies of one slow program in a batch share one backend
+// execution, and a slot owned by a straggler is hedged. The serving engine
+// has 4 workers so that slots overlap on any host.
+func TestBatchSlotsTakeTheRoute(t *testing.T) {
+	serve := func(cfg frontier.Config, workers ...*testWorker) (*httptest.Server, *frontier.Frontier) {
+		_, f := startFrontierWith(t, cfg, workers...)
+		ts := httptest.NewServer(newMux(pipeline.New(pipeline.Config{Workers: 4}), serverOptions{Frontier: f}))
+		t.Cleanup(ts.Close)
+		return ts, f
+	}
+	backendReqs := func(f *frontier.Frontier) (n int64) {
+		for _, b := range f.Stats().Backends {
+			n += b.Requests
+		}
+		return n
+	}
+
+	t.Run("dedup", func(t *testing.T) {
+		ts, f := serve(frontier.Config{}, startTestWorker(t, "", 200*time.Millisecond))
+		const slots = 6
+		var breq batchRequest
+		for i := 0; i < slots; i++ {
+			breq.Requests = append(breq.Requests, analyzeRequest{Program: "read a; b := a * 5; print b;"})
+		}
+		for i, r := range postBatch(t, ts, breq).Results {
+			if !r.OK {
+				t.Fatalf("slot %d: %s", i, r.Error)
+			}
+		}
+		if st := f.Stats(); st.Dedups == 0 {
+			t.Fatalf("no singleflight dedups across %d identical slots: %+v", slots, st)
+		}
+		if n := backendReqs(f); n >= slots {
+			t.Fatalf("backend saw %d requests for %d identical slots", n, slots)
+		}
+	})
+
+	t.Run("hedge", func(t *testing.T) {
+		names := []string{"w0", "w1"}
+		programs := mixedPrograms(8, 8, 9100)
+		pctx, pcancel := context.WithCancel(context.Background())
+		defer pcancel()
+		probe := frontier.New(pctx, frontier.Config{Backends: names, Names: names, HealthInterval: time.Hour})
+		slow := map[string]bool{}
+		for _, src := range programs {
+			key, err := pipeline.ReportKey(src, pipeline.Options{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if probe.Owner(key) == "w0" {
+				slow[src] = true
+			}
+		}
+		if len(slow) == 0 {
+			t.Fatalf("straggler w0 owns none of the %d programs", len(programs))
+		}
+		ts, f := serve(frontier.Config{Names: names, Hedge: true, HedgeDelay: 50 * time.Millisecond},
+			startStraggler(t, "", 500*time.Millisecond, slow), startTestWorker(t, "", 0))
+		var breq batchRequest
+		for _, src := range programs {
+			breq.Requests = append(breq.Requests, analyzeRequest{Program: src})
+		}
+		for i, r := range postBatch(t, ts, breq).Results {
+			if !r.OK {
+				t.Fatalf("slot %d: %s", i, r.Error)
+			}
+		}
+		if st := f.Stats(); st.Hedges == 0 || st.HedgeWins == 0 {
+			t.Fatalf("%d straggler-owned slots were never hedged: %+v", len(slow), st)
+		}
+	})
 }
 
 // TestFrontierSingleflight: identical concurrent requests collapse into one

@@ -1,8 +1,8 @@
 // Command dfg-serve exposes the analysis pipeline as a JSON HTTP service.
 // Every request takes one path: decode, validate, derive the report key and
 // wire item, route, and convert the wire Result into the HTTP reply, whose
-// "report" is the canonical Report JSON spliced in verbatim. The two modes
-// differ only in where items are answered:
+// "report" is the canonical Report JSON spliced in verbatim; each slot of
+// a batch takes that same path. The modes differ only in the route:
 //
 // In-process (default): this process's engine answers every item through
 // the same wire handler dfg-worker runs, with finished Reports cached in
@@ -13,7 +13,8 @@
 // sharded deployment. Programs are routed by rendezvous hash over the
 // wire protocol to dfg-worker backends, identical in-flight requests are
 // deduplicated (singleflight), backends are health-checked, and a failed
-// backend is retried transparently on the next replica:
+// backend is retried transparently on the next replica, for single
+// requests and batch slots alike:
 //
 //	dfg-worker -addr :8451 -store /var/lib/dfg/w1 &
 //	dfg-worker -addr :8452 -store /var/lib/dfg/w2 &
@@ -151,8 +152,7 @@ func main() {
 
 // serveUntil runs srv until ctx is cancelled, then shuts down gracefully:
 // the listener closes to new connections while every in-flight request —
-// including /analyze/batch fan-outs across the engine's worker pool —
-// drains within drainTimeout. A nil listener means srv.Addr (production);
+// including /analyze/batch fan-outs — drains within drainTimeout. A nil listener means srv.Addr (production);
 // the shutdown-under-load regression test passes its own loopback listener
 // so it drives the exact production path on an ephemeral port.
 func serveUntil(ctx context.Context, srv *http.Server, l net.Listener, drainTimeout time.Duration) error {

@@ -200,6 +200,15 @@ func (s *server) validate(req *analyzeRequest, allowDOT bool) (string, wire.Item
 	return key, backend.Item(req.Program, req.Stages, opts, s.opts.Timeout), nil
 }
 
+// route answers one validated item for both endpoints: frontier.Analyze
+// with -backends, else the wire handler dfg-worker runs, on this engine.
+func (s *server) route(ctx context.Context, key string, item wire.Item) (wire.Result, error) {
+	if s.front != nil {
+		return s.front.Analyze(ctx, key, item)
+	}
+	return s.local(ctx, item), nil
+}
+
 func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req analyzeRequest
 	if !decodeBody(w, r, s.opts.MaxBody, &req) {
@@ -211,12 +220,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
-	var res wire.Result
-	if s.front != nil {
-		res, err = s.front.Analyze(ctx, key, item)
-	} else {
-		res = s.local(ctx, item)
-	}
+	res, err := s.route(ctx, key, item)
 	resp, code := toHTTP(ctx, res, err)
 	if code == http.StatusOK && len(req.DOT) > 0 {
 		if resp.DOT, err = s.drawDOT(ctx, &req); err != nil {
@@ -277,10 +281,9 @@ func toHTTP(ctx context.Context, res wire.Result, err error) (analyzeResponse, i
 	return analyzeResponse{OK: true, Key: res.Key, Report: res.Report, Meta: res.Meta, Tier: res.Tier}, http.StatusOK
 }
 
-// handleAnalyzeBatch analyzes many programs in one call. In frontier mode
-// the batch is sharded across backends as real wire batches (results stream
-// backend-side as each program completes); otherwise the items fan out over
-// the local handler, at most the engine's worker count at a time.
+// handleAnalyzeBatch analyzes many programs in one call, routing each slot
+// as a single /analyze request (so with -backends slots are deduplicated,
+// failed over, hedged and replicated), several at a time.
 // Per-item failures fail their slot, never the batch.
 func (s *server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 	var breq batchRequest
@@ -292,40 +295,32 @@ func (s *server) handleAnalyzeBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Slots are routed at most a limit the route already enforces at a
+	// time: the engine's worker pool, or the frontier's connection budget
+	// (at least 1, so slots on an emptied backend set still fail in turn).
+	width := s.eng.Workers()
+	if s.front != nil {
+		width = max(s.front.ConnBudget(), 1)
+	}
+	ctx := r.Context()
 	results := make([]analyzeResponse, len(breq.Requests))
-	var idxs []int
-	var keys []string
-	var items []wire.Item
+	sem := make(chan struct{}, width)
+	var wg sync.WaitGroup
 	for i := range breq.Requests {
 		key, item, err := s.validate(&breq.Requests[i], false)
 		if err != nil {
 			results[i] = analyzeResponse{Error: err.Error()}
 			continue
 		}
-		idxs, keys, items = append(idxs, i), append(keys, key), append(items, item)
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			res, err := s.route(ctx, key, item)
+			results[i], _ = toHTTP(ctx, res, err)
+		}()
 	}
-
-	ctx := r.Context()
-	var answers []wire.Result
-	if s.front != nil {
-		answers = s.front.AnalyzeBatch(ctx, keys, items)
-	} else {
-		answers = make([]wire.Result, len(items))
-		sem := make(chan struct{}, s.eng.Workers())
-		var wg sync.WaitGroup
-		for j, item := range items {
-			sem <- struct{}{}
-			wg.Add(1)
-			go func() {
-				defer func() { <-sem; wg.Done() }()
-				answers[j] = s.local(ctx, item)
-			}()
-		}
-		wg.Wait()
-	}
-	for j, res := range answers {
-		results[idxs[j]], _ = toHTTP(ctx, res, nil)
-	}
+	wg.Wait()
 	writeJSON(w, http.StatusOK, batchResponse{OK: true, Results: results})
 }
 

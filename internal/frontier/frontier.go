@@ -6,7 +6,9 @@
 // Identical in-flight requests are deduplicated by a singleflight group,
 // backends are health-checked in the background, and a failed backend is
 // retried transparently on the next backend in score order. dfg-serve
-// uses it when configured with -backends.
+// routes every request through Analyze when configured with -backends,
+// a single /analyze and each /analyze/batch slot alike. Failover and
+// hedging are one walk over the key's backends (route).
 //
 // Beyond routing, the frontier is the durability and tail-latency layer:
 //
@@ -333,6 +335,16 @@ func (f *Frontier) Owner(key string) string {
 	return owners[0].name
 }
 
+// ConnBudget is the sum of the backends' connection caps (Config.MaxConns
+// each): the most routed requests that can be on the wire at once.
+func (f *Frontier) ConnBudget() int {
+	n := 0
+	for _, b := range f.table().backends {
+		n += cap(b.pool.sem)
+	}
+	return n
+}
+
 // Analyze routes one item, deduplicating identical in-flight requests and
 // failing over across replicas. The returned Result may still carry
 // OK=false for program-level failures (parse errors and the like), which
@@ -355,101 +367,78 @@ func (f *Frontier) Analyze(ctx context.Context, key string, item wire.Item) (wir
 	return res, err
 }
 
-// route tries the key's replicas until one answers, hedging the first
-// attempt against the second replica when hedging is armed.
+// route walks the key's backends in failover order until one answers. It
+// launches the first owner, and the next owner whenever an attempt fails
+// (a retry). With hedging armed, if the primary is still the only attempt
+// when the hedge delay passes, the next owner is launched beside it once (a
+// hedge). The first success wins; the other attempt's context is cancelled,
+// which discards its connection and keeps it from being counted as served.
+// So at most two attempts are in flight, and no backend is tried twice.
 func (f *Frontier) route(ctx context.Context, key string, item wire.Item) (wire.Result, error) {
 	order := f.table().order(key)
 	if len(order) == 0 {
 		return wire.Result{}, fmt.Errorf("no backends configured")
 	}
-	if delay := f.hedgeDelay(); delay > 0 && len(order) > 1 {
-		return f.routeHedged(ctx, key, item, order, delay)
-	}
-	return f.routeSequential(ctx, key, item, order, 0, nil)
-}
-
-// routeSequential is the plain failover walk. attempted counts prior
-// attempts (from a hedged prefix) so the retry counter stays accurate.
-func (f *Frontier) routeSequential(ctx context.Context, key string, item wire.Item, order []*backendRec, attempted int, lastErr error) (wire.Result, error) {
-	for _, b := range order {
-		if err := ctx.Err(); err != nil {
-			return wire.Result{}, err
-		}
-		if attempted > 0 {
-			f.retries.Add(1)
-		}
-		attempted++
-		res, err := f.tryBackend(ctx, b, item)
-		if err == nil {
-			f.routedOK.Add(1)
-			f.maybeReplicate(key, b, res)
-			return res, nil
-		}
-		lastErr = err
-	}
-	f.routedErr.Add(1)
-	if lastErr == nil {
-		lastErr = fmt.Errorf("no backends configured")
-	}
-	return wire.Result{}, fmt.Errorf("all %d backend attempt(s) failed: %w", attempted, lastErr)
-}
-
-// routeHedged races the key's first two replicas: the primary is launched
-// immediately, the secondary after delay (or at once if the primary fails
-// outright). First success wins; the loser's context is cancelled, which
-// interrupts its read and discards its connection — the loser is never
-// double-counted as a served request. If both fail, the walk continues
-// sequentially over the remaining replicas.
-func (f *Frontier) routeHedged(ctx context.Context, key string, item wire.Item, order []*backendRec, delay time.Duration) (wire.Result, error) {
 	type attempt struct {
 		res wire.Result
 		err error
-		idx int
+		b   *backendRec
+	}
+	var hedgeTimer <-chan time.Time
+	if delay := f.hedgeDelay(); delay > 0 && len(order) > 1 {
+		t := time.NewTimer(delay)
+		defer t.Stop()
+		hedgeTimer = t.C
 	}
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	// Two attempts at most are ever in flight, so an attempt that finishes
+	// after the walk has returned still has room to send.
 	ch := make(chan attempt, 2)
-	launch := func(i int) {
-		go func() {
-			res, err := f.tryBackend(rctx, order[i], item)
-			ch <- attempt{res: res, err: err, idx: i}
-		}()
+	try := func(b *backendRec) {
+		res, err := f.tryBackend(rctx, b, item)
+		ch <- attempt{res: res, err: err, b: b}
 	}
-	launch(0)
-	launched, finished := 1, 0
-	hedged := false
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	var lastErr error
+	next, failed := 0, 0
+	launch := func() *backendRec {
+		b := order[next]
+		next++
+		if hedgeTimer == nil {
+			try(b) // nothing can race this attempt, so it runs on this goroutine
+		} else {
+			go try(b)
+		}
+		return b
+	}
+	launch()
+	var hedge *backendRec
 	for {
 		select {
-		case <-timer.C:
-			if launched == 1 {
-				hedged = true
+		case <-hedgeTimer:
+			if next == 1 { // the primary is still the only attempt
 				f.hedges.Add(1)
-				launch(1)
-				launched = 2
+				hedge = launch()
 			}
 		case a := <-ch:
-			finished++
 			if a.err == nil {
-				cancel() // release the loser immediately; its connection is discarded
-				if hedged && a.idx == 1 {
+				cancel() // release the loser now; its connection is discarded
+				if a.b == hedge {
 					f.hedgeWins.Add(1)
 				}
 				f.routedOK.Add(1)
-				f.maybeReplicate(key, order[a.idx], a.res)
+				f.maybeReplicate(key, a.b, a.res)
 				return a.res, nil
 			}
-			lastErr = a.err
-			if launched == 1 {
-				// The primary failed before the hedge timer: this is plain
-				// failover, not a hedge.
+			if err := ctx.Err(); err != nil {
+				return wire.Result{}, err
+			}
+			failed++
+			if next < len(order) {
 				f.retries.Add(1)
-				launch(1)
-				launched = 2
-			} else if finished == 2 {
-				return f.routeSequential(ctx, key, item, order[2:], 2, lastErr)
+				launch()
+			} else if failed == len(order) {
+				f.routedErr.Add(1)
+				return wire.Result{}, fmt.Errorf("all %d backend attempt(s) failed: %w", failed, a.err)
 			}
 		case <-ctx.Done():
 			return wire.Result{}, ctx.Err()
@@ -484,26 +473,21 @@ func (f *Frontier) hedgeDelay() time.Duration {
 func (f *Frontier) tryBackend(ctx context.Context, b *backendRec, item wire.Item) (wire.Result, error) {
 	b.reqs.Add(1)
 	start := time.Now()
-	c, err := b.pool.get(ctx)
-	if err != nil {
-		if ctx.Err() == nil {
-			b.errs.Add(1)
-			b.healthy.Store(false)
-		}
-		return wire.Result{}, err
-	}
 	var res wire.Result
-	got := false
-	err = c.AnalyzeBatch(ctx, []wire.Item{item}, func(r wire.Result) {
-		if r.Index == 0 {
-			res, got = r, true
-		}
-	})
-	b.pool.put(c)
-	if err != nil || !got {
-		if err == nil {
+	c, err := b.pool.get(ctx)
+	if err == nil {
+		got := false
+		err = c.AnalyzeBatch(ctx, []wire.Item{item}, func(r wire.Result) {
+			if r.Index == 0 {
+				res, got = r, true
+			}
+		})
+		b.pool.put(c)
+		if err == nil && !got {
 			err = fmt.Errorf("backend %s: batch completed without a result", b.addr)
 		}
+	}
+	if err != nil {
 		if ctx.Err() == nil {
 			b.errs.Add(1)
 			b.healthy.Store(false)
@@ -628,86 +612,6 @@ func (f *Frontier) FlushReplication(ctx context.Context) error {
 		case <-time.After(2 * time.Millisecond):
 		}
 	}
-}
-
-// AnalyzeBatch routes a multi-item batch: items are grouped by their
-// preferred healthy backend and sent as real wire batches (whose results
-// stream back as each program completes), then any item whose backend
-// failed mid-batch is retried individually through the failover path. The
-// returned slice is index-aligned with items.
-func (f *Frontier) AnalyzeBatch(ctx context.Context, keys []string, items []wire.Item) []wire.Result {
-	out := make([]wire.Result, len(items))
-	failed := make([]bool, len(items))
-
-	rt := f.table()
-	groups := map[*backendRec][]int{}
-	for i, key := range keys {
-		order := rt.order(key)
-		if len(order) == 0 {
-			out[i] = wire.Result{OK: false, Error: "no backends configured"}
-			continue
-		}
-		groups[order[0]] = append(groups[order[0]], i)
-	}
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex // guards out/failed across group goroutines
-	for b, idxs := range groups {
-		wg.Add(1)
-		go func(b *backendRec, idxs []int) {
-			defer wg.Done()
-			sub := make([]wire.Item, len(idxs))
-			for j, i := range idxs {
-				sub[j] = items[i]
-			}
-			b.reqs.Add(int64(len(idxs)))
-			c, err := b.pool.get(ctx)
-			if err == nil {
-				err = c.AnalyzeBatch(ctx, sub, func(r wire.Result) {
-					if r.Index < 0 || r.Index >= len(idxs) {
-						return
-					}
-					i := idxs[r.Index]
-					mu.Lock()
-					out[i] = r
-					mu.Unlock()
-					f.maybeReplicate(keys[i], b, r)
-				})
-				b.pool.put(c)
-			}
-			if err != nil {
-				if ctx.Err() == nil {
-					b.errs.Add(int64(len(idxs)))
-					b.healthy.Store(false)
-				}
-				mu.Lock()
-				for _, i := range idxs {
-					if !out[i].OK && out[i].Error == "" {
-						failed[i] = true
-					}
-				}
-				mu.Unlock()
-				return
-			}
-			b.healthy.Store(true)
-		}(b, idxs)
-	}
-	wg.Wait()
-
-	// Retry stragglers one by one through the failover path.
-	for i := range items {
-		if !failed[i] {
-			continue
-		}
-		f.retries.Add(1)
-		res, err := f.route(ctx, keys[i], items[i])
-		if err != nil {
-			out[i] = wire.Result{OK: false, Error: err.Error()}
-			continue
-		}
-		out[i] = res
-	}
-	return out
 }
 
 // healthLoop pings every backend on a fixed cadence, flipping health bits.

@@ -10,6 +10,7 @@ package ast
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -317,16 +318,43 @@ func HasVar(e Expr) bool {
 }
 
 // ExprVars returns the distinct variable names referenced by e, in first-use
-// order.
+// order, or nil if it references none. The result is its one allocation:
+// it is sized by the number of references, and duplicates are dropped by a
+// linear scan of it, which beats a set on the few names an expression has.
 func ExprVars(e Expr) []string {
-	var names []string
-	seen := map[string]bool{}
-	WalkExpr(e, func(x Expr) {
-		if v, ok := x.(*VarRef); ok && !seen[v.Name] {
-			seen[v.Name] = true
-			names = append(names, v.Name)
+	n := countVarRefs(e)
+	if n == 0 {
+		return nil
+	}
+	return appendVars(make([]string, 0, n), e)
+}
+
+// countVarRefs counts e's variable references, repeats included.
+func countVarRefs(e Expr) int {
+	switch e := e.(type) {
+	case *VarRef:
+		return 1
+	case *BinaryExpr:
+		return countVarRefs(e.X) + countVarRefs(e.Y)
+	case *UnaryExpr:
+		return countVarRefs(e.X)
+	}
+	return 0
+}
+
+// appendVars appends the names e references that are not yet in names,
+// left to right.
+func appendVars(names []string, e Expr) []string {
+	switch e := e.(type) {
+	case *VarRef:
+		if !slices.Contains(names, e.Name) {
+			names = append(names, e.Name)
 		}
-	})
+	case *BinaryExpr:
+		return appendVars(appendVars(names, e.X), e.Y)
+	case *UnaryExpr:
+		return appendVars(names, e.X)
+	}
 	return names
 }
 

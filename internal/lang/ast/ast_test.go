@@ -1,6 +1,7 @@
 package ast
 
 import (
+	"slices"
 	"testing"
 
 	"dfg/internal/lang/token"
@@ -103,6 +104,32 @@ func TestExprVarsDedup(t *testing.T) {
 	}
 	if ExprVars(i(5)) != nil {
 		t.Error("constant has no vars")
+	}
+}
+
+// TestExprVarsOrderAndAllocs: ExprVars lists each name once, in the order
+// of its first reference read left to right through nested and unary
+// operands, and allocates at most its result.
+func TestExprVarsOrderAndAllocs(t *testing.T) {
+	neg := func(x Expr) Expr { return &UnaryExpr{Op: token.MINUS, X: x} }
+	cases := []struct {
+		e    Expr
+		want []string
+	}{
+		{v("x"), []string{"x"}},
+		{bin(token.PLUS, v("c"), bin(token.STAR, v("b"), v("a"))), []string{"c", "b", "a"}},
+		{bin(token.PLUS, bin(token.MINUS, neg(v("d")), v("b")), bin(token.STAR, v("d"), neg(v("e")))), []string{"d", "b", "e"}},
+		{bin(token.PLUS, bin(token.PLUS, v("y"), v("y")), bin(token.PLUS, v("y"), i(1))), []string{"y"}},
+		{neg(bin(token.PLUS, i(2), i(3))), nil},
+	}
+	for _, c := range cases {
+		got := ExprVars(c.e)
+		if !slices.Equal(got, c.want) || (got == nil) != (c.want == nil) {
+			t.Errorf("ExprVars(%s) = %q, want %q", c.e, got, c.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { ExprVars(c.e) }); n > 1 {
+			t.Errorf("ExprVars(%s) allocates %.0f times, want at most 1", c.e, n)
+		}
 	}
 }
 
