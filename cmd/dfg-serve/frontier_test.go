@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -59,6 +60,12 @@ func startStraggler(t *testing.T, dir string, slowdown time.Duration, slow map[s
 			return inner(ctx, item)
 		}
 	}
+	return startEngineWorker(t, eng, h)
+}
+
+// startEngineWorker serves h, a wire handler over eng, on loopback.
+func startEngineWorker(t *testing.T, eng *pipeline.Engine, h wire.Handler) *testWorker {
+	t.Helper()
 	srv := wire.NewServer(h, wire.ServerOptions{
 		Schema:   pipeline.ReportSchemaVersion,
 		Name:     "test-worker",
@@ -341,6 +348,179 @@ func TestBatchSlotsTakeTheRoute(t *testing.T) {
 			t.Fatalf("%d straggler-owned slots were never hedged: %+v", len(slow), st)
 		}
 	})
+}
+
+// highWater counts the analyses between their first and last stage hooks
+// and keeps the most that were ever there at once.
+type highWater struct {
+	mu              sync.Mutex
+	cur, peak, runs int
+}
+
+func (h *highWater) hook(st pipeline.Stage, _ string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	switch st {
+	case pipeline.StageParse:
+		h.cur++
+		h.runs++
+		h.peak = max(h.peak, h.cur)
+	case pipeline.StageEPR:
+		h.cur--
+	}
+}
+
+// TestBatchHighWaterWithinWorkers: -workers is the one bound on analyses
+// per process. A 100-slot /analyze/batch fans out over the frontier's
+// connection budget (32 here), yet no worker whose engine has Workers: 2
+// ever runs more than 2 analyses at once, and neither does the in-process
+// engine.
+func TestBatchHighWaterWithinWorkers(t *testing.T) {
+	const workers = 2
+	var breq batchRequest
+	for _, src := range mixedPrograms(100, 15, 7700) {
+		breq.Requests = append(breq.Requests, analyzeRequest{Program: src})
+	}
+	check := func(t *testing.T, ts *httptest.Server, hws ...*highWater) {
+		t.Helper()
+		for i, r := range postBatch(t, ts, breq).Results {
+			if !r.OK {
+				t.Fatalf("slot %d: %s", i, r.Error)
+			}
+		}
+		runs := 0
+		for i, hw := range hws {
+			hw.mu.Lock()
+			peak := hw.peak
+			runs += hw.runs
+			hw.mu.Unlock()
+			if peak > workers {
+				t.Errorf("engine %d ran %d analyses at once, want at most Workers = %d", i, peak, workers)
+			}
+		}
+		if runs != len(breq.Requests) {
+			t.Errorf("engines computed %d analyses for %d distinct programs", runs, len(breq.Requests))
+		}
+	}
+
+	t.Run("frontier", func(t *testing.T) {
+		hws := []*highWater{{}, {}}
+		var ws []*testWorker
+		for _, hw := range hws {
+			eng := pipeline.New(pipeline.Config{Workers: workers, StageHook: hw.hook})
+			ws = append(ws, startEngineWorker(t, eng, backend.Handler(eng)))
+		}
+		ts, f := startFrontier(t, ws...)
+		if f.ConnBudget() <= 2*workers {
+			t.Fatalf("connection budget %d does not exceed the workers' slots", f.ConnBudget())
+		}
+		check(t, ts, hws...)
+	})
+	t.Run("in-process", func(t *testing.T) {
+		hw := &highWater{}
+		ts := httptest.NewServer(newMux(pipeline.New(pipeline.Config{Workers: workers, StageHook: hw.hook}), serverOptions{}))
+		t.Cleanup(ts.Close)
+		check(t, ts, hw)
+	})
+}
+
+// TestCancelledRouteStopsItsCompute: a routed request cancelled while its
+// analysis is held in a stage stops at the next stage boundary, because
+// the frontier closes the connection and the worker cancels the item on
+// the close. A request queued behind it for the worker's one slot, also
+// cancelled, never starts.
+func TestCancelledRouteStopsItsCompute(t *testing.T) {
+	const heldSrc, queuedSrc = "read h; print h + 1;", "read q; print q + 2;"
+	var mu sync.Mutex
+	stages := map[string][]pipeline.Stage{}
+	itemCtx := map[string]context.Context{}
+	holding := make(chan struct{})
+	eng := pipeline.New(pipeline.Config{Workers: 1, StageHook: func(st pipeline.Stage, src string) {
+		mu.Lock()
+		stages[src] = append(stages[src], st)
+		ctx := itemCtx[src]
+		mu.Unlock()
+		if src == heldSrc && st == pipeline.StageParse {
+			close(holding)
+			select {
+			case <-ctx.Done():
+			case <-time.After(5 * time.Second):
+			}
+		}
+	}})
+	type outcome struct {
+		res wire.Result
+		at  time.Time
+	}
+	entered := make(chan struct{}, 2)
+	outcomes := map[string]chan outcome{heldSrc: make(chan outcome, 1), queuedSrc: make(chan outcome, 1)}
+	h := backend.Handler(eng)
+	w := startEngineWorker(t, eng, func(ctx context.Context, item wire.Item) wire.Result {
+		mu.Lock()
+		itemCtx[item.Program] = ctx
+		mu.Unlock()
+		entered <- struct{}{}
+		res := h(ctx, item)
+		outcomes[item.Program] <- outcome{res, time.Now()}
+		return res
+	})
+	_, f := startFrontier(t, w)
+
+	route := func(ctx context.Context, src string) <-chan error {
+		key, err := pipeline.ReportKey(src, pipeline.Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errc := make(chan error, 1)
+		go func() {
+			_, err := f.Analyze(ctx, key, backend.Item(src, nil, pipeline.Options{}, 10*time.Second))
+			errc <- err
+		}()
+		return errc
+	}
+	// wantCancelled waits for src's analysis to end after cancel, within 1s
+	// of it, with a context error.
+	wantCancelled := func(src string, routed <-chan error, cancel context.CancelFunc) {
+		t.Helper()
+		start := time.Now()
+		cancel()
+		if err := <-routed; !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: routed err = %v, want context.Canceled", src, err)
+		}
+		select {
+		case o := <-outcomes[src]:
+			if o.res.OK || !strings.Contains(o.res.Error, context.Canceled.Error()) {
+				t.Fatalf("%s: worker answered %+v, want a context error", src, o.res)
+			}
+			if d := o.at.Sub(start); d > time.Second {
+				t.Fatalf("%s: analysis returned %v after the cancel, want <= 1s", src, d)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s: analysis still running 1s after the cancel", src)
+		}
+	}
+
+	hctx, hcancel := context.WithCancel(context.Background())
+	defer hcancel()
+	held := route(hctx, heldSrc)
+	<-holding
+	qctx, qcancel := context.WithCancel(context.Background())
+	defer qcancel()
+	queued := route(qctx, queuedSrc)
+	<-entered
+	<-entered
+	time.Sleep(20 * time.Millisecond) // let the queued item park on the full semaphore
+	wantCancelled(queuedSrc, queued, qcancel)
+	wantCancelled(heldSrc, held, hcancel)
+
+	mu.Lock()
+	defer mu.Unlock()
+	if got := stages[heldSrc]; len(got) != 1 || got[0] != pipeline.StageParse {
+		t.Fatalf("held analysis ran stages %v after its cancel, want only parse", got)
+	}
+	if got := stages[queuedSrc]; len(got) != 0 {
+		t.Fatalf("queued analysis started stages %v after its cancel", got)
+	}
 }
 
 // TestFrontierSingleflight: identical concurrent requests collapse into one

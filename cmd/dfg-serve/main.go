@@ -44,7 +44,7 @@
 //	-hedge            hedge straggling requests against the next replica (default off)
 //	-hedge-delay      pin the hedge delay (default 0 = adaptive, derived from observed p99)
 //	-store            artifact store dir for in-process mode (empty = memory only)
-//	-workers          engine worker-pool size (default GOMAXPROCS)
+//	-workers          analyses this process's engine runs at once (default GOMAXPROCS)
 //	-timeout          per-request analysis timeout (default 10s)
 //	-maxbody          POST /analyze body limit in bytes (default 4 MiB; batch 16x)
 //	-health-interval  backend health-check cadence (default 2s)
@@ -75,7 +75,7 @@ var (
 	flagAddr     = flag.String("addr", ":8344", "listen address")
 	flagBackends = flag.String("backends", "", "comma-separated dfg-worker entries, \"addr\" or \"name=addr\"; empty = analyze in-process")
 	flagStore    = flag.String("store", "", "artifact store directory for in-process mode (empty = memory only)")
-	flagWorkers  = flag.Int("workers", 0, "engine worker-pool size (0 = GOMAXPROCS)")
+	flagWorkers  = flag.Int("workers", 0, "analyses this process's engine runs at once (0 = GOMAXPROCS)")
 	flagTimeout  = flag.Duration("timeout", 10*time.Second, "per-request analysis timeout")
 	flagMaxBody  = flag.Int64("maxbody", 4<<20, "POST /analyze body limit in bytes")
 	flagHealth   = flag.Duration("health-interval", 2*time.Second, "backend health-check cadence")

@@ -15,13 +15,20 @@
 //	                  disables persistence, leaving only the report LRU)
 //	-store-max-bytes  store size bound; eviction compacts by access time
 //	                  when exceeded (default 0 = unbounded)
-//	-workers  per-batch item concurrency and engine pool size (default GOMAXPROCS)
+//	-workers  analyses run at once, process-wide (default GOMAXPROCS)
 //	-reports  report LRU capacity in front of the store (default 512)
 //	-timeout  per-item analysis timeout cap (default 30s)
 //	-nosync   skip fsync on store writes (benchmarks only)
 //
-// The worker shuts down gracefully on SIGINT/SIGTERM: in-flight batches
-// finish streaming their results before connections close, so a rolling
+// Each wire connection carries one item at a time. -workers is the one
+// concurrency bound: the engine admits at most that many analyses at once
+// across all connections, and report-LRU and store hits answer without
+// waiting for one. A connection that closes while its item is computing or
+// queued cancels the item, so a frontier's hedge loser stops at its next
+// stage boundary instead of holding a slot.
+//
+// The worker shuts down gracefully on SIGINT/SIGTERM: in-flight items
+// finish and send their results before connections close, so a rolling
 // restart behind a frontier is invisible to clients.
 package main
 
@@ -46,7 +53,7 @@ var (
 	flagAddr     = flag.String("addr", ":8451", "listen address")
 	flagStore    = flag.String("store", "dfg-store", "artifact store directory (empty = no persistence)")
 	flagStoreMax = flag.Int64("store-max-bytes", 0, "artifact store size bound in bytes (0 = unbounded)")
-	flagWorkers  = flag.Int("workers", 0, "per-batch item concurrency (0 = GOMAXPROCS)")
+	flagWorkers  = flag.Int("workers", 0, "analyses run at once, process-wide (0 = GOMAXPROCS)")
 	flagReports  = flag.Int("reports", 512, "report cache capacity (in front of the store)")
 	flagTimeout  = flag.Duration("timeout", 30*time.Second, "per-item analysis timeout")
 	flagNoSync   = flag.Bool("nosync", false, "skip fsync on store writes (benchmarks only)")
@@ -81,7 +88,6 @@ func main() {
 
 	srv := wire.NewServer(backend.Handler(eng), wire.ServerOptions{
 		Schema:   pipeline.ReportSchemaVersion,
-		Workers:  workers,
 		Name:     "dfg-worker",
 		StorePut: backend.StoreHandler(eng),
 	})

@@ -42,10 +42,9 @@ func analyzeOne(t *testing.T, addr, program string) wire.Result {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var got wire.Result
-	err = c.AnalyzeBatch(context.Background(), []wire.Item{{Program: program}}, func(r wire.Result) { got = r })
+	got, err := c.Analyze(context.Background(), wire.Item{Program: program})
 	if err != nil {
-		t.Fatalf("AnalyzeBatch: %v", err)
+		t.Fatalf("Analyze: %v", err)
 	}
 	return got
 }
@@ -105,7 +104,8 @@ func TestWorkerRestartServesFromStore(t *testing.T) {
 }
 
 // TestWorkerRejectsBadPrograms: parse errors come back unprocessable (the
-// frontier must not retry them on other replicas), and bad stages likewise.
+// frontier must not retry them on other replicas), and bad stages likewise;
+// the connection serves one request after the other.
 func TestWorkerRejectsBadPrograms(t *testing.T) {
 	addr, _, _ := startWorker(t, t.TempDir())
 	c, err := wire.Dial(addr, wire.ClientOptions{Schema: pipeline.ReportSchemaVersion})
@@ -117,11 +117,11 @@ func TestWorkerRejectsBadPrograms(t *testing.T) {
 		{Program: "x := ;"},
 		{Program: "read a;", Stages: []string{"nope"}},
 	}
-	results := make([]wire.Result, len(items))
-	if err := c.AnalyzeBatch(context.Background(), items, func(r wire.Result) { results[r.Index] = r }); err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
+	for i, item := range items {
+		r, err := c.Analyze(context.Background(), item)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if r.OK || !r.Unprocessable || r.Error == "" {
 			t.Fatalf("item %d should be unprocessable: %+v", i, r)
 		}

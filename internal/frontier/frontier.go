@@ -13,7 +13,7 @@
 // Beyond routing, the frontier is the durability and tail-latency layer:
 //
 //   - Replication (Config.Replicas > 1): every artifact computed by a
-//     backend is pushed asynchronously (wire StorePut, proto >= 2) into the
+//     backend is pushed asynchronously (wire StorePut) into the
 //     stores of the key's other owners (its top R scores), so a worker
 //     that loses its disk is covered by replicas that already hold its
 //     keyspace. When a read is served off-primary (failover), the bytes
@@ -23,7 +23,8 @@
 //     latency is re-issued to the key's next replica; the first result
 //     wins and the loser is cancelled, never double-counted. Hedge-safe
 //     cancellation in the wire client guarantees the loser's connection is
-//     discarded rather than reused mid-batch.
+//     discarded rather than reused mid-request, and closing it cancels the
+//     loser's analysis on its worker.
 //   - Hot add/remove: AddBackend/RemoveBackend swap in a rebuilt backend
 //     set at runtime; identities are stable names, so an added backend
 //     takes only the keys it now scores highest on, and a removed one
@@ -467,25 +468,19 @@ func (f *Frontier) hedgeDelay() time.Duration {
 	return d
 }
 
-// tryBackend runs a one-item batch on b, managing its pool and health bit.
-// A failure caused by our own context (hedge loser cancelled, caller gone)
-// does not penalize the backend's health or error counters.
+// tryBackend sends item to b, managing its pool and health bit. A failure
+// caused by our own context (hedge loser cancelled, caller gone) does not
+// penalize the backend's health or error counters; the cancelled client is
+// broken, so put closes it, and the closed connection cancels the item on
+// the worker.
 func (f *Frontier) tryBackend(ctx context.Context, b *backendRec, item wire.Item) (wire.Result, error) {
 	b.reqs.Add(1)
 	start := time.Now()
 	var res wire.Result
 	c, err := b.pool.get(ctx)
 	if err == nil {
-		got := false
-		err = c.AnalyzeBatch(ctx, []wire.Item{item}, func(r wire.Result) {
-			if r.Index == 0 {
-				res, got = r, true
-			}
-		})
+		res, err = c.Analyze(ctx, item)
 		b.pool.put(c)
-		if err == nil && !got {
-			err = fmt.Errorf("backend %s: batch completed without a result", b.addr)
-		}
 	}
 	if err != nil {
 		if ctx.Err() == nil {
@@ -576,20 +571,14 @@ func (f *Frontier) pushLoop(ctx context.Context) {
 	}
 }
 
-// pushOne delivers one StorePut. A v1 backend on the negotiated connection
-// silently skips the push (replication coverage degrades, correctness does
-// not). Push failures never mark the backend unhealthy: the analysis path's
-// own traffic is the health signal.
+// pushOne delivers one StorePut. Push failures never mark the backend
+// unhealthy: the analysis path's own traffic is the health signal.
 func (f *Frontier) pushOne(ctx context.Context, b *backendRec, key string, payload []byte) {
 	pctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	c, err := b.pool.get(pctx)
 	if err != nil {
 		f.replErrors.Add(1)
-		return
-	}
-	if c.Ack().Proto < 2 {
-		b.pool.put(c)
 		return
 	}
 	if err := c.StorePut(pctx, key, payload); err != nil {

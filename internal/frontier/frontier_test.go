@@ -282,16 +282,16 @@ func readTestFrame(r io.Reader) (byte, []byte, error) {
 // TestSharedErrorRetriedOutsideGroup: a singleflight follower that inherits
 // the leader's transport error retries once on its own instead of
 // surfacing a failure that was never its connection's fault. The fake
-// backend kills the first batch's connection mid-flight (the "worker
-// killed mid-flight" scenario) and serves every later batch normally.
+// backend kills the first request's connection mid-flight (the "worker
+// killed mid-flight" scenario) and serves every later request normally.
 func TestSharedErrorRetriedOutsideGroup(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	var batches atomic.Int32
-	firstBatch := make(chan struct{})
+	var requests atomic.Int32
+	firstRequest := make(chan struct{})
 	killFirst := make(chan struct{})
 	go func() {
 		for {
@@ -306,7 +306,7 @@ func TestSharedErrorRetriedOutsideGroup(t *testing.T) {
 					return
 				}
 				writeTestFrame(t, conn, 2, map[string]any{
-					"proto": 2, "schema": pipeline.ReportSchemaVersion, "server": "fake"})
+					"proto": wire.ProtoVersion, "schema": pipeline.ReportSchemaVersion, "server": "fake"})
 				for {
 					kind, payload, err := readTestFrame(conn)
 					if err != nil {
@@ -315,20 +315,19 @@ func TestSharedErrorRetriedOutsideGroup(t *testing.T) {
 					switch kind {
 					case 6: // ping
 						writeTestFrame(t, conn, 7, struct{}{})
-					case 3: // batch
-						var b struct {
+					case 3: // request
+						var r struct {
 							ID uint64 `json:"id"`
 						}
-						json.Unmarshal(payload, &b)
-						if batches.Add(1) == 1 {
-							close(firstBatch)
+						json.Unmarshal(payload, &r)
+						if requests.Add(1) == 1 {
+							close(firstRequest)
 							<-killFirst
-							return // connection dies mid-batch: the leader's error
+							return // connection dies mid-request: the leader's error
 						}
 						writeTestFrame(t, conn, 4, map[string]any{
-							"id": b.ID, "index": 0, "ok": true, "key": "k",
+							"id": r.ID, "ok": true, "key": "k",
 							"tier": "compute", "report": json.RawMessage(`{"v":1}`)})
-						writeTestFrame(t, conn, 5, map[string]any{"id": b.ID, "results": 1})
 					default:
 						return
 					}
@@ -346,7 +345,7 @@ func TestSharedErrorRetriedOutsideGroup(t *testing.T) {
 		_, err := f.Analyze(ctx, "shared-key", wire.Item{Program: "p"})
 		leaderErr <- err
 	}()
-	<-firstBatch // leader is in flight on the doomed connection
+	<-firstRequest // leader is in flight on the doomed connection
 
 	type outcome struct {
 		res wire.Result

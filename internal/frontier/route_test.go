@@ -14,16 +14,16 @@ import (
 	"dfg/internal/wire"
 )
 
-// peer is how a hand-rolled wire peer treats the connections and batches it
-// is sent.
+// peer is how a hand-rolled wire peer treats the connections and requests
+// it is sent.
 type peer struct {
 	down  bool          // close every connection before the handshake
-	delay time.Duration // wait this long on each batch before acting
+	delay time.Duration // wait this long on each request before acting
 	fail  bool          // then drop the connection instead of answering
 }
 
 // startPeer runs p on loopback and returns its address and the number of
-// batches it has been sent. An answer's report is {"from":name}.
+// requests it has been sent. An answer's report is {"from":name}.
 func startPeer(t *testing.T, name string, p peer) (string, *atomic.Int32) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -32,7 +32,7 @@ func startPeer(t *testing.T, name string, p peer) (string, *atomic.Int32) {
 	}
 	stop := make(chan struct{})
 	t.Cleanup(func() { close(stop); l.Close() })
-	batches := new(atomic.Int32)
+	requests := new(atomic.Int32)
 	report := json.RawMessage(fmt.Sprintf(`{"from":%q}`, name))
 	go func() {
 		for {
@@ -49,7 +49,7 @@ func startPeer(t *testing.T, name string, p peer) (string, *atomic.Int32) {
 					return
 				}
 				writeTestFrame(t, conn, 2, map[string]any{
-					"proto": 2, "schema": pipeline.ReportSchemaVersion, "server": name})
+					"proto": wire.ProtoVersion, "schema": pipeline.ReportSchemaVersion, "server": name})
 				for {
 					kind, payload, err := readTestFrame(conn)
 					if err != nil {
@@ -58,8 +58,8 @@ func startPeer(t *testing.T, name string, p peer) (string, *atomic.Int32) {
 					switch kind {
 					case 6: // ping
 						writeTestFrame(t, conn, 7, struct{}{})
-					case 3: // batch
-						batches.Add(1)
+					case 3: // request
+						requests.Add(1)
 						var b struct {
 							ID uint64 `json:"id"`
 						}
@@ -73,9 +73,8 @@ func startPeer(t *testing.T, name string, p peer) (string, *atomic.Int32) {
 							return
 						}
 						writeTestFrame(t, conn, 4, map[string]any{
-							"id": b.ID, "index": 0, "ok": true, "key": "k",
+							"id": b.ID, "ok": true, "key": "k",
 							"tier": "store", "report": report})
-						writeTestFrame(t, conn, 5, map[string]any{"id": b.ID, "results": 1})
 					default:
 						return
 					}
@@ -83,7 +82,7 @@ func startPeer(t *testing.T, name string, p peer) (string, *atomic.Int32) {
 			}(conn)
 		}
 	}()
-	return l.Addr().String(), batches
+	return l.Addr().String(), requests
 }
 
 // TestRouteCounters pins what one route does to the frontier's counters
@@ -149,9 +148,9 @@ func TestRouteCounters(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			addrs := make([]string, len(ranked))
-			batches := make([]*atomic.Int32, len(ranked))
+			requests := make([]*atomic.Int32, len(ranked))
 			for rank, name := range ranked {
-				addrs[rank], batches[rank] = startPeer(t, name, tc.peers[rank])
+				addrs[rank], requests[rank] = startPeer(t, name, tc.peers[rank])
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -177,9 +176,9 @@ func TestRouteCounters(t *testing.T) {
 			if got != tc.want {
 				t.Fatalf("counters {retries hedges hedgeWins ok err} = %+v, want %+v", got, tc.want)
 			}
-			for rank, b := range batches {
+			for rank, b := range requests {
 				if n := b.Load(); n > 1 {
-					t.Fatalf("rank %d backend was sent %d batches", rank, n)
+					t.Fatalf("rank %d backend was sent %d requests", rank, n)
 				}
 			}
 			for _, b := range f.Stats().Backends {

@@ -15,9 +15,10 @@ type BatchResult struct {
 	Err    error
 }
 
-// AnalyzeBatchStream fans reqs across the engine's worker pool, taking them
-// in index order, and hands each BatchResult to deliver as soon as its slot
-// finishes; nothing is kept afterwards, so a caller that reduces results
+// AnalyzeBatchStream fans reqs across up to Workers goroutines, taking
+// them in index order, and hands each BatchResult to deliver as soon as its
+// slot finishes; each Analyze still takes an engine slot, shared with every
+// other caller. Nothing is kept afterwards, so a caller that reduces results
 // (count, aggregate, write-to-disk) holds at most the in-flight ones.
 // deliver is called exactly once per request, serially (never
 // concurrently), but in completion order — use BatchResult.Index to

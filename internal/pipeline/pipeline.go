@@ -1,8 +1,9 @@
 // Package pipeline wraps the repository's analysis packages behind a single
 // staged engine. An Engine runs the stages of one request, caches finished
 // Reports (as canonical JSON bytes) in a bounded, content-addressed LRU with
-// an optional persistent store behind it, fans batches of requests across a
-// worker pool, and exposes per-stage run/latency/allocation counters. The
+// an optional persistent store behind it, admits at most Config.Workers
+// analyses at once, fans batches of requests across them, and exposes
+// per-stage run/latency/allocation counters. The
 // CLI (cmd/dfg), the bench harness (cmd/dfg-bench), the worker
 // (cmd/dfg-worker) and the HTTP service (cmd/dfg-serve) all route through
 // it, so there is exactly one code path from source text to analysis
@@ -299,10 +300,16 @@ func (e *StageError) Unwrap() error { return e.Err }
 
 // Config configures an Engine. The zero value gives GOMAXPROCS workers, a
 // 512-entry report LRU, no persistent store, and a 30-second default
-// request timeout. Parallelism is across programs only: a batch runs up to
-// Workers programs at once, and each program's stages run serially.
+// request timeout. Parallelism is across programs only: each program's
+// stages run serially.
 type Config struct {
-	Workers        int           // batch worker-pool size; <=0 means GOMAXPROCS
+	// Workers bounds the analyses the engine runs at once, process-wide:
+	// Analyze takes one of Workers slots before its first stage and holds
+	// it until its last, waiting no longer than the request's timeout or
+	// context. Every compute path shares it (a batch, a wire worker's
+	// items, dfg-serve's requests), while AnalyzeReport's cache tiers
+	// answer without a slot. <=0 means GOMAXPROCS.
+	Workers        int
 	DefaultTimeout time.Duration // per-request timeout when Request.Timeout is 0; <=0 means 30s
 
 	// Deprecated: the engine keeps no stage-artifact cache, so
@@ -334,7 +341,8 @@ type Config struct {
 // safe for use by multiple goroutines.
 type Engine struct {
 	cfg       Config
-	reportLRU *lruCache // AnalyzeReport's in-memory tier
+	slots     chan struct{} // compute admission: capacity cfg.Workers
+	reportLRU *lruCache     // AnalyzeReport's in-memory tier
 	metrics   *metrics
 }
 
@@ -349,10 +357,15 @@ func New(c Config) *Engine {
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
 	}
-	return &Engine{cfg: c, reportLRU: newLRU(c.ReportCacheEntries), metrics: newMetrics()}
+	return &Engine{
+		cfg:       c,
+		slots:     make(chan struct{}, c.Workers),
+		reportLRU: newLRU(c.ReportCacheEntries),
+		metrics:   newMetrics(),
+	}
 }
 
-// Workers reports the engine's batch worker-pool size.
+// Workers reports how many analyses the engine runs at once.
 func (e *Engine) Workers() int { return e.cfg.Workers }
 
 // key returns the content address of (source, options), the prefix of every
@@ -367,7 +380,9 @@ func key(source string, o Options) string {
 // artifact across calls (AnalyzeReport caches finished Reports). A stage
 // that panics is recovered and reported as a *StageError with Panicked
 // set; the process is never taken down by a malformed program.
-// Cancellation and deadlines on ctx are observed at stage boundaries.
+// Analyze waits for one of the engine's Workers slots before its first
+// stage. Cancellation and deadlines on ctx (the request's timeout
+// included) end that wait, and are observed at stage boundaries after it.
 func (e *Engine) Analyze(ctx context.Context, req Request) (*Result, error) {
 	e.metrics.requests.Add(1)
 	stages := req.Stages
@@ -387,6 +402,12 @@ func (e *Engine) Analyze(ctx context.Context, req Request) (*Result, error) {
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
+	select {
+	case e.slots <- struct{}{}:
+		defer func() { <-e.slots }()
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 
 	res := &Result{
 		src:    req.Source,

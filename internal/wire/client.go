@@ -16,8 +16,8 @@ type ClientOptions struct {
 	// DialTimeout bounds connection establishment plus the handshake.
 	// Zero means 2s.
 	DialTimeout time.Duration
-	// FrameSlack is added beyond a batch's analysis timeout when computing
-	// the read deadline for its result frames. Zero means 5s.
+	// FrameSlack is added beyond an item's analysis timeout when computing
+	// the read deadline for its Result frame. Zero means 5s.
 	FrameSlack time.Duration
 }
 
@@ -31,7 +31,7 @@ func (o *ClientOptions) defaults() {
 }
 
 // Client is one negotiated connection to a backend. It is not safe for
-// concurrent use: a connection carries one batch at a time. Callers that
+// concurrent use: a connection carries one request at a time. Callers that
 // need concurrency hold several Clients (see the frontier's per-backend
 // pool).
 type Client struct {
@@ -61,7 +61,7 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 		opts: opts,
 	}
 	conn.SetDeadline(time.Now().Add(opts.DialTimeout))
-	hello := Hello{Magic: helloMagic, ProtoMin: 1, ProtoMax: ProtoVersion, Schema: opts.Schema}
+	hello := Hello{Magic: helloMagic, ProtoMin: ProtoVersion, ProtoMax: ProtoVersion, Schema: opts.Schema}
 	if err := c.send(frameHello, hello); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("wire: handshake send: %w", err)
@@ -84,7 +84,7 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("wire: handshake: malformed ack: %w", err)
 	}
-	if ack.Proto < 1 || ack.Proto > ProtoVersion {
+	if ack.Proto != ProtoVersion {
 		conn.Close()
 		return nil, &WireError{Code: "version", Message: fmt.Sprintf("server picked unsupported protocol %d", ack.Proto)}
 	}
@@ -97,7 +97,7 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 	return c, nil
 }
 
-// Ack returns the server's handshake acceptance (negotiated versions).
+// Ack returns the server's handshake acceptance.
 func (c *Client) Ack() HelloAck { return c.ack }
 
 // Broken reports whether the connection hit a transport or protocol error
@@ -120,86 +120,85 @@ func (c *Client) fail(err error) error {
 	return err
 }
 
-// AnalyzeBatch sends items and invokes onResult for every Result frame as it
-// arrives (out of order, tagged by Result.Index), returning after BatchDone.
-// The read deadline is the soonest of ctx's deadline and the batch's largest
-// item timeout plus FrameSlack, pushed forward on every received frame —
-// a batch making progress is not reaped, a hung server is.
+// Analyze sends one item and returns its Result. The read deadline is
+// ctx's deadline, or without one the item's timeout (30s if unset) plus
+// FrameSlack: a hung server is reaped.
 //
 // Cancelling ctx interrupts a blocked read immediately (not at the next
 // deadline): a hedged request whose other replica won can release this
 // connection right away. The interrupted connection is marked broken and
-// will be discarded, never reused mid-batch — that is what makes
-// cancellation hedge-safe.
-func (c *Client) AnalyzeBatch(ctx context.Context, items []Item, onResult func(Result)) error {
-	if c.broken {
-		return fmt.Errorf("wire: client is broken")
+// will be discarded, never reused mid-request — that is what makes
+// cancellation hedge-safe — and closing it is what tells the server to
+// cancel the item.
+func (c *Client) Analyze(ctx context.Context, item Item) (Result, error) {
+	timeout := time.Duration(item.TimeoutMS) * time.Millisecond
+	if timeout <= 0 {
+		timeout = 30 * time.Second
 	}
 	c.nextID++
-	id := c.nextID
-	var maxTimeout time.Duration
-	for _, it := range items {
-		if d := time.Duration(it.TimeoutMS) * time.Millisecond; d > maxTimeout {
-			maxTimeout = d
-		}
+	payload, err := c.call(ctx, frameRequest, Request{ID: c.nextID, Item: item}, frameResult, timeout+c.opts.FrameSlack)
+	if err != nil {
+		return Result{}, err
 	}
-	if maxTimeout <= 0 {
-		maxTimeout = 30 * time.Second
+	res, err := decodeAs[Result](payload)
+	if err != nil {
+		return Result{}, c.fail(fmt.Errorf("wire: malformed result: %w", err))
 	}
-	frameBudget := maxTimeout + c.opts.FrameSlack
-	defer c.watchCancel(ctx)()
+	if res.ID != c.nextID {
+		return Result{}, c.fail(fmt.Errorf("wire: result for request %d on request %d", res.ID, c.nextID))
+	}
+	return res, nil
+}
 
-	c.conn.SetWriteDeadline(deadlineFrom(ctx, frameBudget))
-	if err := c.send(frameBatch, Batch{ID: id, Items: items}); err != nil {
-		return c.fail(fmt.Errorf("wire: send batch: %w", err))
-	}
-	seen := 0
-	for {
-		// Order matters: set the deadline first, check ctx after. The
-		// cancellation watcher may stomp the deadline concurrently, but then
-		// ctx.Err() is already non-nil and this check returns before the read.
-		c.conn.SetReadDeadline(deadlineFrom(ctx, frameBudget))
-		if err := ctx.Err(); err != nil {
-			return c.fail(err)
-		}
-		kind, payload, err := readFrame(c.br)
+// AnalyzeBatch analyzes items one request at a time, in order, handing
+// each Result to onResult.
+//
+// Deprecated: the protocol carries one item per request; use Analyze.
+func (c *Client) AnalyzeBatch(ctx context.Context, items []Item, onResult func(Result)) error {
+	for _, item := range items {
+		res, err := c.Analyze(ctx, item)
 		if err != nil {
-			return c.fail(fmt.Errorf("wire: read batch result: %w", err))
+			return err
 		}
-		switch kind {
-		case frameResult:
-			res, err := decodeAs[Result](payload)
-			if err != nil {
-				return c.fail(fmt.Errorf("wire: malformed result: %w", err))
-			}
-			if res.ID != id {
-				return c.fail(fmt.Errorf("wire: result for batch %d on batch %d", res.ID, id))
-			}
-			seen++
-			if onResult != nil {
-				onResult(res)
-			}
-		case frameBatchDone:
-			done, err := decodeAs[BatchDone](payload)
-			if err != nil {
-				return c.fail(fmt.Errorf("wire: malformed batch-done: %w", err))
-			}
-			if done.ID != id || done.Results != seen {
-				return c.fail(fmt.Errorf("wire: batch-done mismatch: id=%d results=%d, saw %d on batch %d",
-					done.ID, done.Results, seen, id))
-			}
-			c.conn.SetReadDeadline(time.Time{})
-			c.conn.SetWriteDeadline(time.Time{})
-			return nil
-		case framePong:
-			// A stray pong (health check raced a batch) is harmless.
-		default:
-			if werr := errWire(kind, payload); werr != nil {
-				return c.fail(werr)
-			}
-			return c.fail(fmt.Errorf("wire: unexpected frame kind %d during batch", kind))
+		if onResult != nil {
+			onResult(res)
 		}
 	}
+	return nil
+}
+
+// call sends one frame and reads the one frame of kind want that answers
+// it, by ctx's deadline or, without one, within budget. Any transport or
+// protocol failure marks the client broken.
+func (c *Client) call(ctx context.Context, kind byte, v any, want byte, budget time.Duration) ([]byte, error) {
+	if c.broken {
+		return nil, fmt.Errorf("wire: client is broken")
+	}
+	defer c.watchCancel(ctx)()
+	deadline := deadlineFrom(ctx, budget)
+	c.conn.SetWriteDeadline(deadline)
+	if err := c.send(kind, v); err != nil {
+		return nil, c.fail(fmt.Errorf("wire: send frame %d: %w", kind, err))
+	}
+	// Order matters: set the deadline first, check ctx after. The
+	// cancellation watcher may stomp the deadline concurrently, but then
+	// ctx.Err() is already non-nil and this check returns before the read.
+	c.conn.SetReadDeadline(deadline)
+	if err := ctx.Err(); err != nil {
+		return nil, c.fail(err)
+	}
+	got, payload, err := readFrame(c.br)
+	if err != nil {
+		return nil, c.fail(fmt.Errorf("wire: read reply to frame %d: %w", kind, err))
+	}
+	if got != want {
+		if werr := errWire(got, payload); werr != nil {
+			return nil, c.fail(werr)
+		}
+		return nil, c.fail(fmt.Errorf("wire: frame %d answered with frame kind %d", kind, got))
+	}
+	c.conn.SetDeadline(time.Time{})
+	return payload, nil
 }
 
 // watchCancel arranges for the connection's read deadline to be yanked to
@@ -226,75 +225,27 @@ func (c *Client) watchCancel(ctx context.Context) func() {
 	}
 }
 
-// StorePut (proto >= 2) pushes one finished artifact into the backend's
-// store, for the frontier's replication and read-repair paths. A storage
-// failure on the backend comes back as an error but leaves the connection
-// healthy; transport failures mark it broken as usual.
+// StorePut pushes one finished artifact into the backend's store, for the
+// frontier's replication and read-repair paths. A storage failure on the
+// backend comes back as an error but leaves the connection healthy;
+// transport failures mark it broken as usual.
 func (c *Client) StorePut(ctx context.Context, key string, payload []byte) error {
-	if c.broken {
-		return fmt.Errorf("wire: client is broken")
+	reply, err := c.call(ctx, frameStorePut, StorePut{Key: key, Payload: payload}, frameStoreAck, 10*time.Second)
+	if err != nil {
+		return err
 	}
-	if c.ack.Proto < 2 {
-		return &WireError{Code: "version", Message: fmt.Sprintf("backend speaks proto %d; store push needs >= 2", c.ack.Proto)}
+	ack, err := decodeAs[StoreAck](reply)
+	if err != nil {
+		return c.fail(fmt.Errorf("wire: malformed store-ack: %w", err))
 	}
-	defer c.watchCancel(ctx)()
-	c.conn.SetWriteDeadline(deadlineFrom(ctx, 10*time.Second))
-	if err := c.send(frameStorePut, StorePut{Key: key, Payload: payload}); err != nil {
-		return c.fail(fmt.Errorf("wire: send store-put: %w", err))
+	if !ack.OK {
+		return fmt.Errorf("wire: backend store refused %q: %s", key, ack.Error)
 	}
-	for {
-		c.conn.SetReadDeadline(deadlineFrom(ctx, 10*time.Second))
-		if err := ctx.Err(); err != nil {
-			return c.fail(err)
-		}
-		kind, payload, err := readFrame(c.br)
-		if err != nil {
-			return c.fail(fmt.Errorf("wire: read store-ack: %w", err))
-		}
-		switch kind {
-		case frameStoreAck:
-			ack, err := decodeAs[StoreAck](payload)
-			if err != nil {
-				return c.fail(fmt.Errorf("wire: malformed store-ack: %w", err))
-			}
-			c.conn.SetReadDeadline(time.Time{})
-			c.conn.SetWriteDeadline(time.Time{})
-			if !ack.OK {
-				return fmt.Errorf("wire: backend store refused %q: %s", key, ack.Error)
-			}
-			return nil
-		case framePong:
-			// A stray pong (health check raced the push) is harmless.
-		default:
-			if werr := errWire(kind, payload); werr != nil {
-				return c.fail(werr)
-			}
-			return c.fail(fmt.Errorf("wire: unexpected frame kind %d during store-put", kind))
-		}
-	}
+	return nil
 }
 
 // Ping round-trips a liveness probe.
 func (c *Client) Ping(ctx context.Context) error {
-	if c.broken {
-		return fmt.Errorf("wire: client is broken")
-	}
-	c.conn.SetWriteDeadline(deadlineFrom(ctx, 2*time.Second))
-	if err := c.send(framePing, struct{}{}); err != nil {
-		return c.fail(err)
-	}
-	c.conn.SetReadDeadline(deadlineFrom(ctx, 2*time.Second))
-	kind, payload, err := readFrame(c.br)
-	if err != nil {
-		return c.fail(err)
-	}
-	if kind != framePong {
-		if werr := errWire(kind, payload); werr != nil {
-			return c.fail(werr)
-		}
-		return c.fail(fmt.Errorf("wire: ping answered with frame kind %d", kind))
-	}
-	c.conn.SetReadDeadline(time.Time{})
-	c.conn.SetWriteDeadline(time.Time{})
-	return nil
+	_, err := c.call(ctx, framePing, struct{}{}, framePong, 2*time.Second)
+	return err
 }

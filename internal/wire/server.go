@@ -6,43 +6,41 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 )
 
-// Handler computes one item of a batch. It must be safe for concurrent use;
-// the server fans a batch's items across ServerOptions.Workers goroutines.
+// Handler computes one item. It must be safe for concurrent use:
+// connections run their items concurrently. ctx is cancelled when the
+// item's connection closes.
 type Handler func(ctx context.Context, item Item) Result
+
+// idleTimeout reaps connections with no frame activity between requests.
+const idleTimeout = 5 * time.Minute
 
 // ServerOptions configure a Server.
 type ServerOptions struct {
 	// Schema is the artifact schema version this backend produces. A client
 	// whose Hello names any other schema is refused.
 	Schema int
-	// Workers bounds per-batch item concurrency. Zero means 4.
+	// Deprecated: the server runs one item per connection at a time and
+	// the engine behind the Handler bounds analyses per process
+	// (pipeline.Config.Workers), so Workers is ignored.
 	Workers int
 	// Name identifies the server in HelloAck (e.g. "dfg-worker").
 	Name string
-	// IdleTimeout reaps connections with no frame activity between batches.
-	// Zero means 5 minutes.
-	IdleTimeout time.Duration
 	// HandshakeTimeout bounds the hello exchange. Zero means 5s.
 	HandshakeTimeout time.Duration
-	// StorePut accepts a replicated artifact pushed by the frontier
-	// (proto >= 2). nil means pushes are acked with OK=false — the backend
-	// has no store, which costs replication coverage, never correctness.
+	// StorePut accepts a replicated artifact pushed by the frontier. nil
+	// means pushes are acked with OK=false — the backend has no store,
+	// which costs replication coverage, never correctness.
 	StorePut func(key string, payload []byte) error
 }
 
 func (o *ServerOptions) defaults() {
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
 	if o.Name == "" {
 		o.Name = "dfg-backend"
-	}
-	if o.IdleTimeout <= 0 {
-		o.IdleTimeout = 5 * time.Minute
 	}
 	if o.HandshakeTimeout <= 0 {
 		o.HandshakeTimeout = 5 * time.Second
@@ -50,7 +48,7 @@ func (o *ServerOptions) defaults() {
 }
 
 // Server speaks the backend side of the protocol. Create with NewServer,
-// run with Serve, stop with Shutdown (which drains in-flight batches).
+// run with Serve, stop with Shutdown (which drains in-flight items).
 type Server struct {
 	handler Handler
 	opts    ServerOptions
@@ -60,11 +58,11 @@ type Server struct {
 	conns    map[net.Conn]bool
 	closed   bool
 
-	inflight sync.WaitGroup // open batches
+	inflight sync.WaitGroup // items being computed
 	connWG   sync.WaitGroup // connection goroutines
 }
 
-// NewServer returns a Server that answers batches with h.
+// NewServer returns a Server that answers requests with h.
 func NewServer(h Handler, opts ServerOptions) *Server {
 	opts.defaults()
 	if opts.Schema < 1 {
@@ -123,11 +121,12 @@ func (s *Server) Serve(l net.Listener) error {
 // ErrServerClosed is returned by Serve after Shutdown.
 var ErrServerClosed = errors.New("wire: server closed")
 
-// Shutdown stops accepting, waits for in-flight batches to drain (bounded
-// by ctx), then closes every connection. Idle connections are closed
-// immediately after the drain; a batch in progress finishes streaming its
-// results first, which is the "no client-visible error on graceful restart"
-// property the frontier's retry logic builds on.
+// Shutdown stops accepting, waits for in-flight items to drain (bounded by
+// ctx), then closes every connection. Idle connections are closed
+// immediately after the drain; an item in progress finishes and sends its
+// Result first, which is the "no client-visible error on graceful restart"
+// property the frontier's retry logic builds on. Closing a connection whose
+// item is still computing (ctx expired first) cancels that item.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -176,11 +175,7 @@ func (s *Server) Close() error {
 func (s *Server) serveConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
-	var writeMu sync.Mutex // serializes result frames from item workers
-
 	send := func(kind byte, v any) error {
-		writeMu.Lock()
-		defer writeMu.Unlock()
 		if err := writeFrame(bw, kind, v); err != nil {
 			return err
 		}
@@ -198,22 +193,18 @@ func (s *Server) serveConn(conn net.Conn) {
 		send(frameError, &WireError{Code: "proto", Message: "malformed hello"})
 		return
 	}
-	if hello.ProtoMin > ProtoVersion || hello.ProtoMax < 1 {
+	if hello.ProtoMin > ProtoVersion || hello.ProtoMax < ProtoVersion {
 		send(frameError, &WireError{Code: "version",
-			Message: fmt.Sprintf("no shared protocol version: client %d..%d, server 1..%d",
+			Message: fmt.Sprintf("no shared protocol version: client %d..%d, server %d",
 				hello.ProtoMin, hello.ProtoMax, ProtoVersion)})
 		return
-	}
-	proto := hello.ProtoMax
-	if proto > ProtoVersion {
-		proto = ProtoVersion
 	}
 	if hello.Schema != s.opts.Schema {
 		send(frameError, &WireError{Code: "schema",
 			Message: fmt.Sprintf("schema mismatch: client %d, server %d", hello.Schema, s.opts.Schema)})
 		return
 	}
-	if err := send(frameHelloAck, HelloAck{Proto: proto, Schema: s.opts.Schema, Server: s.opts.Name}); err != nil {
+	if err := send(frameHelloAck, HelloAck{Proto: ProtoVersion, Schema: s.opts.Schema, Server: s.opts.Name}); err != nil {
 		return
 	}
 	// Clear the handshake deadline: the frame loop below only refreshes the
@@ -223,7 +214,7 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	// Frame loop.
 	for {
-		conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+		conn.SetReadDeadline(time.Now().Add(idleTimeout))
 		kind, payload, err := readFrame(br)
 		if err != nil {
 			return
@@ -233,26 +224,28 @@ func (s *Server) serveConn(conn net.Conn) {
 			if err := send(framePong, struct{}{}); err != nil {
 				return
 			}
-		case frameBatch:
-			batch, err := decodeAs[Batch](payload)
+		case frameRequest:
+			req, err := decodeAs[Request](payload)
 			if err != nil {
-				send(frameError, &WireError{Code: "proto", Message: "malformed batch"})
+				send(frameError, &WireError{Code: "proto", Message: "malformed request"})
 				return
 			}
-			if !s.beginBatch() {
+			if !s.beginItem() {
 				send(frameError, &WireError{Code: "overload", Message: "server shutting down"})
 				return
 			}
-			err = s.runBatch(conn, batch, send)
+			// The Result is written before the item stops counting as in
+			// flight, so a draining Shutdown sees it on the wire.
+			res, ok := s.runItem(conn, br, req.Item)
+			if ok {
+				res.ID = req.ID
+				ok = send(frameResult, res) == nil
+			}
 			s.inflight.Done()
-			if err != nil {
+			if !ok {
 				return
 			}
 		case frameStorePut:
-			if proto < 2 {
-				send(frameError, &WireError{Code: "proto", Message: "store-put needs protocol >= 2"})
-				return
-			}
 			put, err := decodeAs[StorePut](payload)
 			if err != nil {
 				send(frameError, &WireError{Code: "proto", Message: "malformed store-put"})
@@ -276,8 +269,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// beginBatch registers an in-flight batch unless the server is draining.
-func (s *Server) beginBatch() bool {
+// beginItem registers an in-flight item unless the server is draining.
+func (s *Server) beginItem() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -287,39 +280,25 @@ func (s *Server) beginBatch() bool {
 	return true
 }
 
-// runBatch fans the batch's items across the worker budget and streams each
-// Result as it completes. Result frames are written (and flushed) under the
-// send mutex, so a graceful shutdown that waits for the batch observes
-// fully-written frames.
-func (s *Server) runBatch(conn net.Conn, batch Batch, send func(byte, any) error) error {
-	// While items are computing, the per-frame read deadline no longer
-	// applies; the write path's progress is the liveness signal.
+// runItem computes one item while watching its connection. The client
+// sends nothing until it has the answer, so anything the watcher sees —
+// EOF, a read error, a byte of a stray frame — cancels the item's context,
+// and runItem reports ok=false: the connection is done and gets no Result.
+// The watcher only peeks, so stopping it once the item is computed consumes
+// nothing from the stream.
+func (s *Server) runItem(conn net.Conn, br *bufio.Reader, item Item) (res Result, ok bool) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	conn.SetReadDeadline(time.Time{})
-
-	ctx := context.Background()
-	sem := make(chan struct{}, s.opts.Workers)
-	var wg sync.WaitGroup
-	var sendErr error
-	var sendErrOnce sync.Once
-	for i, item := range batch.Items {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, item Item) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			res := s.safeHandle(ctx, item)
-			res.ID = batch.ID
-			res.Index = i
-			if err := send(frameResult, res); err != nil {
-				sendErrOnce.Do(func() { sendErr = err })
-			}
-		}(i, item)
-	}
-	wg.Wait()
-	if sendErr != nil {
-		return sendErr
-	}
-	return send(frameBatchDone, BatchDone{ID: batch.ID, Results: len(batch.Items)})
+	peer := make(chan error, 1)
+	go func() {
+		_, err := br.Peek(1)
+		cancel()
+		peer <- err
+	}()
+	res = s.safeHandle(ctx, item)
+	conn.SetReadDeadline(time.Now()) // stop the watcher
+	return res, errors.Is(<-peer, os.ErrDeadlineExceeded)
 }
 
 // safeHandle guards the handler: a panic fails the one item, not the

@@ -16,24 +16,32 @@
 //
 // Handshake. The client speaks first: a Hello frame carrying the protocol
 // version range it supports and the artifact schema version it expects. The
-// server answers with a HelloAck naming the version it picked, or an Error
-// frame and a close. Protocol versions negotiate down (highest shared
-// version wins); schema versions must match exactly — a frontier must never
-// mix Report payloads of two schemas, that is what the version field is for.
+// server answers with a HelloAck, or an Error frame and a close. Both sides
+// speak exactly ProtoVersion: a peer whose range leaves it out is refused
+// with a "version" error. Schema versions must match exactly too — a
+// frontier must never mix Report payloads of two schemas, that is what the
+// version field is for.
 //
-// Requests. One Batch frame carries N analysis items. The server streams
-// one Result frame per item *as each item completes* — out of order, tagged
-// with the item's index — followed by a BatchDone frame. A connection
-// processes one batch at a time (the frontier holds a pool of connections
-// per backend instead of multiplexing streams; simpler, and connection
-// setup is two frames).
+// Requests. One Request frame carries one analysis item under an ID, and
+// the server answers it with one Result frame carrying that ID. A
+// connection carries one request at a time (the frontier holds a pool of
+// connections per backend instead of multiplexing streams; simpler, and
+// connection setup is two frames). The server bounds nothing per
+// connection: the engine behind the Handler admits at most its Workers
+// analyses at once, process-wide.
 //
-// Liveness. Ping/Pong frames serve health checks, and every read on both
-// sides carries a deadline: the server's idle-read deadline reaps dead
-// clients, the client's per-batch deadline (request timeout + slack, or the
-// context deadline if sooner) reaps dead servers mid-batch and is pushed
-// forward every time a Result frame arrives, so a long batch that is making
-// progress is never reaped.
+// Liveness and cancellation. Ping/Pong frames serve health checks, and
+// every read on both sides carries a deadline: the server's idle-read
+// deadline reaps dead clients between requests, and the client's
+// per-request deadline (the item's timeout plus slack, or the context
+// deadline if sooner) reaps dead servers. While an item computes, the
+// server keeps reading its connection. The client sends nothing until the
+// answer arrives, so EOF, a read error or any stray byte means the client
+// has gone or broken the protocol: the item's context is cancelled, and the
+// analysis stops at its next stage boundary (or never starts, if it was
+// waiting for an engine slot). There is no cancel frame: a client whose
+// context is cancelled mid-request marks itself broken, and a pool closes a
+// broken client, so closing the connection is the cancel.
 package wire
 
 import (
@@ -45,29 +53,30 @@ import (
 	"time"
 )
 
-// ProtoVersion is the newest protocol version this build speaks. Version 1:
-// frames as documented above. Version 2 adds StorePut/StoreAck frames — a
-// frontier pushing a finished artifact into a replica's store (replication
-// and read repair). The handshake negotiates down: a v2 frontier talking to
-// a v1 backend simply skips replication pushes on that connection.
-const ProtoVersion = 2
+// ProtoVersion is the one protocol version this build speaks. Version 3:
+// one Request frame (ID + one Item) answered by one Result frame, the
+// connection read while the item computes so that a close cancels it, and
+// StorePut/StoreAck frames — a frontier pushing a finished artifact into a
+// replica's store (replication and read repair). Versions 1 and 2 carried
+// multi-item batches streamed out of order behind a trailer frame; a peer
+// that speaks only those is refused at the handshake.
+const ProtoVersion = 3
 
 // MaxFrame bounds a frame payload (64 MiB — a Report for a very large
-// program is well under 1 MiB; the headroom is for batches).
+// program is well under 1 MiB).
 const MaxFrame = 64 << 20
 
-// Frame kinds.
+// Frame kinds. Kind 5 was the batch trailer of versions 1 and 2.
 const (
-	frameHello     = byte(1)
-	frameHelloAck  = byte(2)
-	frameBatch     = byte(3)
-	frameResult    = byte(4)
-	frameBatchDone = byte(5)
-	framePing      = byte(6)
-	framePong      = byte(7)
-	frameError     = byte(8)
-	frameStorePut  = byte(9)  // proto >= 2
-	frameStoreAck  = byte(10) // proto >= 2
+	frameHello    = byte(1)
+	frameHelloAck = byte(2)
+	frameRequest  = byte(3)
+	frameResult   = byte(4)
+	framePing     = byte(6)
+	framePong     = byte(7)
+	frameError    = byte(8)
+	frameStorePut = byte(9)
+	frameStoreAck = byte(10)
 )
 
 // Hello is the client's opening message.
@@ -80,14 +89,14 @@ type Hello struct {
 
 // HelloAck is the server's acceptance.
 type HelloAck struct {
-	Proto  int    `json:"proto"`  // the negotiated protocol version
+	Proto  int    `json:"proto"`  // ProtoVersion
 	Schema int    `json:"schema"` // echoed schema version
 	Server string `json:"server"` // free-form identification, e.g. "dfg-worker"
 }
 
 const helloMagic = "dfgwire"
 
-// Item is one program analysis request inside a batch. It mirrors the HTTP
+// Item is one program analysis request. It mirrors the HTTP
 // API's analyzeRequest, flattened to plain data so this package needs no
 // knowledge of the pipeline.
 type Item struct {
@@ -102,19 +111,19 @@ type Item struct {
 	TimeoutMS  int64   `json:"timeout_ms,omitempty"`
 }
 
-// Batch is the request frame payload.
-type Batch struct {
-	ID    uint64 `json:"id"`
-	Items []Item `json:"items"`
+// Request is the request frame payload: one item under an ID that its
+// Result echoes.
+type Request struct {
+	ID   uint64 `json:"id"`
+	Item Item   `json:"item"`
 }
 
-// Result is one streamed response. Report is the raw Report JSON exactly as
+// Result is the answer to one Request. Report is the raw Report JSON exactly as
 // the backend produced it: the frontier forwards these bytes verbatim, which
 // is what makes "byte-identical to in-process analysis" a meaningful
 // end-to-end property.
 type Result struct {
 	ID     uint64          `json:"id"`
-	Index  int             `json:"index"`
 	OK     bool            `json:"ok"`
 	Key    string          `json:"key,omitempty"`
 	Report json.RawMessage `json:"report,omitempty"`
@@ -134,13 +143,7 @@ type Meta struct {
 	NS       int64 `json:"ns"`
 }
 
-// BatchDone terminates a batch's result stream.
-type BatchDone struct {
-	ID      uint64 `json:"id"`
-	Results int    `json:"results"`
-}
-
-// StorePut (proto >= 2) pushes one finished artifact into the backend's
+// StorePut pushes one finished artifact into the backend's
 // store: the frontier's replication and read-repair primitive. Payload is
 // the canonical Report JSON exactly as some backend produced it — the
 // receiver stores the bytes verbatim, preserving the byte-identical
@@ -160,7 +163,7 @@ type StoreAck struct {
 }
 
 // WireError is the Error frame payload and the error type handshake and
-// batch failures surface as.
+// protocol failures surface as.
 type WireError struct {
 	Code    string `json:"code"` // "version", "schema", "proto", "overload"
 	Message string `json:"message"`

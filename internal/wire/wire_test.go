@@ -48,7 +48,7 @@ func startServer(t *testing.T, h Handler, opts ServerOptions) (addr string, srv 
 	return l.Addr().String(), srv
 }
 
-func TestHandshakeAndBatchStreaming(t *testing.T) {
+func TestHandshakeAndRequests(t *testing.T) {
 	addr, _ := startServer(t, echoHandler(0), ServerOptions{Name: "test-worker"})
 	c, err := Dial(addr, ClientOptions{Schema: 1})
 	if err != nil {
@@ -59,25 +59,14 @@ func TestHandshakeAndBatchStreaming(t *testing.T) {
 		t.Fatalf("ack = %+v", ack)
 	}
 
+	// One connection serves request after request.
 	items := make([]Item, 10)
 	for i := range items {
 		items[i] = Item{Program: fmt.Sprintf("p%d", i), Stages: []string{"cfg"}}
-	}
-	var mu sync.Mutex
-	got := map[int]Result{}
-	err = c.AnalyzeBatch(context.Background(), items, func(r Result) {
-		mu.Lock()
-		got[r.Index] = r
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatalf("AnalyzeBatch: %v", err)
-	}
-	if len(got) != len(items) {
-		t.Fatalf("got %d results, want %d", len(got), len(items))
-	}
-	for i := range items {
-		r := got[i]
+		r, err := c.Analyze(context.Background(), items[i])
+		if err != nil {
+			t.Fatalf("Analyze %d: %v", i, err)
+		}
 		if !r.OK || r.Key != "key-"+items[i].Program {
 			t.Fatalf("result %d = %+v", i, r)
 		}
@@ -87,9 +76,13 @@ func TestHandshakeAndBatchStreaming(t *testing.T) {
 		}
 	}
 
-	// The same connection serves a second batch.
-	if err := c.AnalyzeBatch(context.Background(), items[:2], nil); err != nil {
-		t.Fatalf("second batch: %v", err)
+	// The deprecated AnalyzeBatch answers its items in order.
+	var keys []string
+	if err := c.AnalyzeBatch(context.Background(), items[:3], func(r Result) { keys = append(keys, r.Key) }); err != nil {
+		t.Fatalf("AnalyzeBatch: %v", err)
+	}
+	if want := []string{"key-p0", "key-p1", "key-p2"}; fmt.Sprint(keys) != fmt.Sprint(want) {
+		t.Fatalf("AnalyzeBatch keys = %v, want %v", keys, want)
 	}
 }
 
@@ -102,8 +95,10 @@ func TestItemFailuresAndPanicsAreIsolated(t *testing.T) {
 	defer c.Close()
 	items := []Item{{Program: "ok1"}, {Program: "FAIL"}, {Program: "BOOM"}, {Program: "ok2"}}
 	results := make([]Result, len(items))
-	if err := c.AnalyzeBatch(context.Background(), items, func(r Result) { results[r.Index] = r }); err != nil {
-		t.Fatalf("AnalyzeBatch: %v", err)
+	for i, item := range items {
+		if results[i], err = c.Analyze(context.Background(), item); err != nil {
+			t.Fatalf("Analyze %s: %v", item.Program, err)
+		}
 	}
 	if !results[0].OK || !results[3].OK {
 		t.Fatalf("healthy items failed: %+v %+v", results[0], results[3])
@@ -139,89 +134,125 @@ func TestSchemaMismatchRefused(t *testing.T) {
 	}
 }
 
-// TestProtocolVersionNegotiation drives the handshake by hand with
-// out-of-range version windows.
-func TestProtocolVersionNegotiation(t *testing.T) {
-	addr, _ := startServer(t, echoHandler(0), ServerOptions{})
-
-	dialHello := func(h Hello) (byte, []byte) {
-		t.Helper()
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if err := writeFrame(conn, frameHello, h); err != nil {
-			t.Fatal(err)
-		}
-		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		kind, payload, err := readFrame(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return kind, payload
-	}
-
-	// A future client that still speaks version 1 negotiates down to 1.
-	kind, payload := dialHello(Hello{Magic: helloMagic, ProtoMin: 1, ProtoMax: 99, Schema: 1})
-	if kind != frameHelloAck {
-		t.Fatalf("frame kind %d, want ack", kind)
-	}
-	ack, err := decodeAs[HelloAck](payload)
-	if err != nil || ack.Proto != ProtoVersion {
-		t.Fatalf("ack = %+v (%v), want proto %d", ack, err, ProtoVersion)
-	}
-
-	// A client that requires a version beyond ours is refused.
-	kind, payload = dialHello(Hello{Magic: helloMagic, ProtoMin: 99, ProtoMax: 100, Schema: 1})
-	werr := errWire(kind, payload)
-	var we *WireError
-	if !errors.As(werr, &we) || we.Code != "version" {
-		t.Fatalf("want version error, got kind=%d err=%v", kind, werr)
-	}
-
-	// Bad magic is a protocol error.
-	kind, payload = dialHello(Hello{Magic: "http", ProtoMin: 1, ProtoMax: 1, Schema: 1})
-	werr = errWire(kind, payload)
-	if !errors.As(werr, &we) || we.Code != "proto" {
-		t.Fatalf("want proto error, got kind=%d err=%v", kind, werr)
-	}
-}
-
-// TestShutdownDrainsInflightBatch: a batch in progress when Shutdown is
-// called completes and streams all its results; the client sees no error.
-func TestShutdownDrainsInflightBatch(t *testing.T) {
-	addr, srv := startServer(t, echoHandler(50*time.Millisecond), ServerOptions{Workers: 2})
-	c, err := Dial(addr, ClientOptions{Schema: 1})
+// dialHello sends a hand-built Hello to addr and returns the frame that
+// answers it.
+func dialHello(t *testing.T, addr string, h Hello) (byte, []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer conn.Close()
+	if err := writeFrame(conn, frameHello, h); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	kind, payload, err := readFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kind, payload
+}
 
-	items := []Item{{Program: "a"}, {Program: "b"}, {Program: "c"}, {Program: "d"}}
-	batchErr := make(chan error, 1)
-	var mu sync.Mutex
-	var indices []int
+// TestProtocolVersionFence: protocol 3 is not negotiated down. A client
+// that offers only versions 1..2 is refused by this server, and this
+// client is refused by a server that speaks only 1..2, both with a
+// "version" error.
+func TestProtocolVersionFence(t *testing.T) {
+	addr, _ := startServer(t, echoHandler(0), ServerOptions{})
+	wantCode := func(kind byte, payload []byte, code string) {
+		t.Helper()
+		var we *WireError
+		if err := errWire(kind, payload); !errors.As(err, &we) || we.Code != code {
+			t.Fatalf("want %s error, got kind=%d err=%v", code, kind, err)
+		}
+	}
+
+	// An old client, offering only 1..2.
+	kind, payload := dialHello(t, addr, Hello{Magic: helloMagic, ProtoMin: 1, ProtoMax: 2, Schema: 1})
+	wantCode(kind, payload, "version")
+
+	// A newer client whose range includes this version is served at it.
+	kind, payload = dialHello(t, addr, Hello{Magic: helloMagic, ProtoMin: 1, ProtoMax: 99, Schema: 1})
+	if ack, err := decodeAs[HelloAck](payload); kind != frameHelloAck || err != nil || ack.Proto != ProtoVersion {
+		t.Fatalf("kind=%d ack=%+v (%v), want proto %d", kind, ack, err, ProtoVersion)
+	}
+
+	// Bad magic is a protocol error.
+	kind, payload = dialHello(t, addr, Hello{Magic: "http", ProtoMin: ProtoVersion, ProtoMax: ProtoVersion, Schema: 1})
+	wantCode(kind, payload, "proto")
+
+	// An old server, speaking only 1..2, applies its own range check to
+	// this client's Hello.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
 	go func() {
-		batchErr <- c.AnalyzeBatch(context.Background(), items, func(r Result) {
-			mu.Lock()
-			indices = append(indices, r.Index)
-			mu.Unlock()
-		})
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		kind, payload, err := readFrame(conn)
+		if err != nil || kind != frameHello {
+			return
+		}
+		hello, _ := decodeAs[Hello](payload)
+		if hello.ProtoMin > 2 || hello.ProtoMax < 1 {
+			writeFrame(conn, frameError, &WireError{Code: "version", Message: "no shared protocol version"})
+			return
+		}
+		writeFrame(conn, frameHelloAck, HelloAck{Proto: 2, Schema: hello.Schema, Server: "v2"})
 	}()
-	time.Sleep(20 * time.Millisecond) // let the batch reach the server
+	_, err = Dial(l.Addr().String(), ClientOptions{Schema: 1})
+	var we *WireError
+	if !errors.As(err, &we) || we.Code != "version" {
+		t.Fatalf("Dial against a 1..2 server: err = %v, want version WireError", err)
+	}
+}
+
+// TestShutdownDrainsInflightBatch: items in progress on several
+// connections when Shutdown is called complete and send their Results;
+// no client sees an error.
+func TestShutdownDrainsInflightBatch(t *testing.T) {
+	addr, srv := startServer(t, echoHandler(50*time.Millisecond), ServerOptions{})
+	programs := []string{"a", "b", "c", "d"}
+	type answer struct {
+		res Result
+		err error
+	}
+	answers := make(chan answer, len(programs))
+	for _, p := range programs {
+		c, err := Dial(addr, ClientOptions{Schema: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		go func() {
+			res, err := c.Analyze(context.Background(), Item{Program: p})
+			answers <- answer{res, err}
+		}()
+	}
+	time.Sleep(20 * time.Millisecond) // let the items reach the server
 
 	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(sctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if err := <-batchErr; err != nil {
-		t.Fatalf("client saw an error across graceful shutdown: %v", err)
+	var keys []string
+	for range programs {
+		a := <-answers
+		if a.err != nil {
+			t.Fatalf("client saw an error across graceful shutdown: %v", a.err)
+		}
+		keys = append(keys, a.res.Key)
 	}
-	sort.Ints(indices)
-	if len(indices) != len(items) {
-		t.Fatalf("got %d results across shutdown, want %d (%v)", len(indices), len(items), indices)
+	sort.Strings(keys)
+	if want := []string{"key-a", "key-b", "key-c", "key-d"}; fmt.Sprint(keys) != fmt.Sprint(want) {
+		t.Fatalf("results across shutdown = %v, want %v", keys, want)
 	}
 
 	// New connections are refused after shutdown.
@@ -230,8 +261,80 @@ func TestShutdownDrainsInflightBatch(t *testing.T) {
 	}
 }
 
-// TestClientDeadlineReapsDeadServer: a server that accepts a batch and then
-// hangs forever is reaped by the client's frame deadline.
+// blockingHandler holds every item until its context is cancelled (or 5s
+// pass) and reports that context on entered.
+func blockingHandler(entered chan<- context.Context) Handler {
+	return func(ctx context.Context, item Item) Result {
+		entered <- ctx
+		select {
+		case <-ctx.Done():
+			return Result{OK: false, Error: ctx.Err().Error()}
+		case <-time.After(5 * time.Second):
+			return Result{OK: true, Key: "key-" + item.Program}
+		}
+	}
+}
+
+// TestClosedConnectionCancelsItem: a client that gives up on a request
+// (its context cancelled, the broken connection closed, as a pool does)
+// cancels the item on the server: closing is the cancel.
+func TestClosedConnectionCancelsItem(t *testing.T) {
+	entered := make(chan context.Context, 1)
+	addr, _ := startServer(t, blockingHandler(entered), ServerOptions{})
+	c, err := Dial(addr, ClientOptions{Schema: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Analyze(ctx, Item{Program: "slow"})
+		done <- err
+	}()
+	itemCtx := <-entered
+	cancel()
+	if err := <-done; err == nil || !c.Broken() {
+		t.Fatalf("cancelled Analyze: err=%v broken=%v, want an error and a broken client", err, c.Broken())
+	}
+	c.Close()
+	select {
+	case <-itemCtx.Done():
+	case <-time.After(time.Second):
+		t.Fatal("closing the connection did not cancel the item within 1s")
+	}
+}
+
+// TestStrayFrameCancelsItem: a frame sent while an item computes breaks
+// the protocol; the item is cancelled and the connection closed without a
+// Result.
+func TestStrayFrameCancelsItem(t *testing.T) {
+	entered := make(chan context.Context, 1)
+	addr, _ := startServer(t, blockingHandler(entered), ServerOptions{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	writeFrame(conn, frameHello, Hello{Magic: helloMagic, ProtoMin: ProtoVersion, ProtoMax: ProtoVersion, Schema: 1})
+	if kind, _, err := readFrame(conn); err != nil || kind != frameHelloAck {
+		t.Fatalf("handshake: kind=%d err=%v", kind, err)
+	}
+	writeFrame(conn, frameRequest, Request{ID: 1, Item: Item{Program: "slow"}})
+	itemCtx := <-entered
+	writeFrame(conn, framePing, struct{}{})
+	select {
+	case <-itemCtx.Done():
+	case <-time.After(time.Second):
+		t.Fatal("a stray frame did not cancel the item within 1s")
+	}
+	if kind, _, err := readFrame(conn); err == nil {
+		t.Fatalf("server answered frame kind %d after a stray frame, want a closed connection", kind)
+	}
+}
+
+// TestClientDeadlineReapsDeadServer: a server that accepts a request and
+// then hangs forever is reaped by the client's frame deadline.
 func TestClientDeadlineReapsDeadServer(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -250,7 +353,7 @@ func TestClientDeadlineReapsDeadServer(t *testing.T) {
 			return
 		}
 		hello, _ := decodeAs[Hello](payload)
-		writeFrame(conn, frameHelloAck, HelloAck{Proto: 1, Schema: hello.Schema, Server: "hang"})
+		writeFrame(conn, frameHelloAck, HelloAck{Proto: ProtoVersion, Schema: hello.Schema, Server: "hang"})
 		select {} // hang
 	}()
 
@@ -260,9 +363,9 @@ func TestClientDeadlineReapsDeadServer(t *testing.T) {
 	}
 	defer c.Close()
 	start := time.Now()
-	err = c.AnalyzeBatch(context.Background(), []Item{{Program: "p", TimeoutMS: 50}}, nil)
+	_, err = c.Analyze(context.Background(), Item{Program: "p", TimeoutMS: 50})
 	if err == nil {
-		t.Fatal("batch against a hung server succeeded")
+		t.Fatal("request against a hung server succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("deadline took %v to fire", elapsed)
@@ -270,12 +373,12 @@ func TestClientDeadlineReapsDeadServer(t *testing.T) {
 	if !c.Broken() {
 		t.Fatal("client not marked broken after a transport failure")
 	}
-	if err := c.AnalyzeBatch(context.Background(), []Item{{Program: "p"}}, nil); err == nil {
-		t.Fatal("broken client accepted another batch")
+	if _, err := c.Analyze(context.Background(), Item{Program: "p"}); err == nil {
+		t.Fatal("broken client accepted another request")
 	}
 }
 
-// TestStorePutRoundtrip: a proto-2 store push lands in the server's
+// TestStorePutRoundtrip: a store push lands in the server's
 // StorePut hook, a rejected push surfaces the error without breaking the
 // connection, and a server without a store acks OK=false.
 func TestStorePutRoundtrip(t *testing.T) {
@@ -315,12 +418,12 @@ func TestStorePutRoundtrip(t *testing.T) {
 	if c.Broken() {
 		t.Fatal("storage refusal broke the connection")
 	}
-	// …for both more pushes and analysis batches.
+	// …for both more pushes and analysis requests.
 	if err := c.StorePut(context.Background(), "k2", []byte("y")); err != nil {
 		t.Fatalf("push after refusal: %v", err)
 	}
-	if err := c.AnalyzeBatch(context.Background(), []Item{{Program: "p"}}, nil); err != nil {
-		t.Fatalf("batch after refusal: %v", err)
+	if _, err := c.Analyze(context.Background(), Item{Program: "p"}); err != nil {
+		t.Fatalf("request after refusal: %v", err)
 	}
 
 	// A storeless server acks OK=false.
@@ -335,27 +438,8 @@ func TestStorePutRoundtrip(t *testing.T) {
 	}
 }
 
-// TestStorePutNeedsProtoV2: a client that negotiated protocol 1 refuses to
-// send store pushes locally (no wasted round-trip, no protocol violation).
-func TestStorePutNeedsProtoV2(t *testing.T) {
-	addr, _ := startServer(t, echoHandler(0), ServerOptions{StorePut: func(string, []byte) error { return nil }})
-	c, err := Dial(addr, ClientOptions{Schema: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.ack.Proto = 1 // simulate a v1 backend on the negotiated connection
-	var werr *WireError
-	if err := c.StorePut(context.Background(), "k", []byte("v")); !errors.As(err, &werr) || werr.Code != "version" {
-		t.Fatalf("proto-1 StorePut err = %v, want version WireError", err)
-	}
-	if c.Broken() {
-		t.Fatal("local refusal must not break the connection")
-	}
-}
-
 // TestCancelInterruptsBlockedRead is the hedge-safe-cancellation property:
-// cancelling the context of an in-flight batch unblocks the read
+// cancelling the context of an in-flight request unblocks the read
 // immediately (well before the frame deadline) and marks the client broken
 // so the poisoned connection is never reused.
 func TestCancelInterruptsBlockedRead(t *testing.T) {
@@ -367,26 +451,27 @@ func TestCancelInterruptsBlockedRead(t *testing.T) {
 	defer c.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	batchErr := make(chan error, 1)
+	reqErr := make(chan error, 1)
 	go func() {
-		batchErr <- c.AnalyzeBatch(ctx, []Item{{Program: "slow", TimeoutMS: 30_000}}, nil)
+		_, err := c.Analyze(ctx, Item{Program: "slow", TimeoutMS: 30_000})
+		reqErr <- err
 	}()
-	time.Sleep(50 * time.Millisecond) // batch is blocked on the 2s handler
+	time.Sleep(50 * time.Millisecond) // the request is blocked on the 2s handler
 	start := time.Now()
 	cancel()
 	select {
-	case err := <-batchErr:
+	case err := <-reqErr:
 		if err == nil {
-			t.Fatal("cancelled batch returned nil error")
+			t.Fatal("cancelled request returned nil error")
 		}
 		if elapsed := time.Since(start); elapsed > time.Second {
 			t.Fatalf("cancellation took %v to unblock the read", elapsed)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("cancellation never unblocked the batch read")
+		t.Fatal("cancellation never unblocked the read")
 	}
 	if !c.Broken() {
-		t.Fatal("cancelled mid-batch client must be marked broken")
+		t.Fatal("cancelled mid-request client must be marked broken")
 	}
 }
 
@@ -397,7 +482,7 @@ func TestOversizeFrameRejected(t *testing.T) {
 	defer server.Close()
 	defer client.Close()
 	go func() {
-		hdr := []byte{frameBatch, 0xff, 0xff, 0xff, 0xff}
+		hdr := []byte{frameRequest, 0xff, 0xff, 0xff, 0xff}
 		client.Write(hdr)
 	}()
 	server.SetReadDeadline(time.Now().Add(time.Second))
@@ -419,19 +504,19 @@ func TestPooledClientOutlivesHandshakeTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.AnalyzeBatch(context.Background(), []Item{{Program: "p0"}}, nil); err != nil {
-		t.Fatalf("first batch: %v", err)
+	if _, err := c.Analyze(context.Background(), Item{Program: "p0"}); err != nil {
+		t.Fatalf("first request: %v", err)
 	}
 	time.Sleep(3 * hs)
 	if err := c.Ping(context.Background()); err != nil {
 		t.Fatalf("ping after the handshake timeout: %v", err)
 	}
-	var got Result
-	if err := c.AnalyzeBatch(context.Background(), []Item{{Program: "p1"}}, func(r Result) { got = r }); err != nil {
-		t.Fatalf("batch after the handshake timeout: %v", err)
+	got, err := c.Analyze(context.Background(), Item{Program: "p1"})
+	if err != nil {
+		t.Fatalf("request after the handshake timeout: %v", err)
 	}
 	if !got.OK || got.Key != "key-p1" {
-		t.Fatalf("batch after the handshake timeout answered %+v", got)
+		t.Fatalf("request after the handshake timeout answered %+v", got)
 	}
 }
 
@@ -455,7 +540,7 @@ func TestCancelAfterReturnKeepsPoolHealthy(t *testing.T) {
 	defer func() { c.Close() }()
 	for i := 0; i < 2000; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		err := c.AnalyzeBatch(ctx, []Item{{Program: fmt.Sprintf("a%d", i)}}, nil)
+		_, err := c.Analyze(ctx, Item{Program: fmt.Sprintf("a%d", i)})
 		cancel()
 		if err != nil {
 			t.Fatalf("iteration %d: cancellable request: %v", i, err)
@@ -464,7 +549,7 @@ func TestCancelAfterReturnKeepsPoolHealthy(t *testing.T) {
 			c.Close()
 			c = dial()
 		}
-		if err := c.AnalyzeBatch(context.Background(), []Item{{Program: fmt.Sprintf("b%d", i)}}, nil); err != nil {
+		if _, err := c.Analyze(context.Background(), Item{Program: fmt.Sprintf("b%d", i)}); err != nil {
 			t.Fatalf("iteration %d: next request on the pooled client: %v", i, err)
 		}
 		if c.Broken() {
