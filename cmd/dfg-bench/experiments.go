@@ -197,11 +197,9 @@ func expE4(r *reporter) {
 			f2(ratio), dur(tCFG), dur(tDFG),
 		})
 		// Precision is identical.
-		for k, va := range cfgRes.UseVals {
-			if dfgRes.UseVals[k] != va {
-				r.checkf(false, "V=%d: precision mismatch at %v", v, k)
-				return
-			}
+		if err := constprop.Agree(cfgRes, dfgRes); err != nil {
+			r.checkf(false, "V=%d: precision mismatch: %v", v, err)
+			return
 		}
 	}
 	r.table([]string{"V", "CFG lattice ops", "DFG lattice ops", "CFG/DFG", "t(CFG)", "t(DFG)"}, rows)
@@ -594,11 +592,9 @@ func expE13(r *reporter) {
 			fmt.Sprint(res.Cost.Total()), dur(tBuild), dur(tProp),
 		})
 		// Identical answers at every use site.
-		for k, want := range ref.UseVals {
-			if res.UseVals[k] != want {
-				r.checkf(false, "%v: result differs at %v", gran, k)
-				return
-			}
+		if err := constprop.Agree(ref, res); err != nil {
+			r.checkf(false, "%v: result differs: %v", gran, err)
+			return
 		}
 	}
 	r.table([]string{"granularity", "dependences", "merge+switch ops", "constprop ops", "t(build)", "t(constprop)"}, rows)

@@ -344,10 +344,8 @@ func runTool(opts options, src []byte, w io.Writer) error {
 			return err
 		}
 		cp := res.Cprop
-		for k, va := range cp.CFG.UseVals {
-			if vb := cp.DFG.UseVals[k]; va != vb {
-				fmt.Fprintf(w, "DISAGREEMENT at %v: cfg=%s dfg=%s\n", k, va, vb)
-			}
+		if !cp.Agree {
+			fmt.Fprintf(w, "DISAGREEMENT: %s\n", cp.Mismatch)
 		}
 		fmt.Fprintf(w, "constant uses: %d (CFG algorithm cost %v; DFG algorithm cost %v; agree: %v)\n",
 			cp.ConstUses, cp.CFG.Cost, cp.DFG.Cost, cp.Agree)

@@ -6,22 +6,30 @@ import (
 
 // Positional projects the CFG onto a positional directed graph over node IDs
 // (live edges only), suitable for the algorithms in internal/graph.
-func (g *Graph) Positional() *graph.Directed {
-	d := graph.NewDirected(len(g.Nodes))
-	for _, e := range g.Edges {
-		if !e.Dead {
-			d.AddEdge(int(e.Src), int(e.Dst))
-		}
-	}
-	return d
-}
+func (g *Graph) Positional() *graph.Directed { return g.positional(false) }
 
 // ReversePositional projects the transpose CFG (for postdominance).
-func (g *Graph) ReversePositional() *graph.Directed {
-	d := graph.NewDirected(len(g.Nodes))
+func (g *Graph) ReversePositional() *graph.Directed { return g.positional(true) }
+
+func (g *Graph) positional(reverse bool) *graph.Directed {
+	deg := make([]int, len(g.Nodes))
 	for _, e := range g.Edges {
 		if !e.Dead {
-			d.AddEdge(int(e.Dst), int(e.Src))
+			if reverse {
+				deg[e.Dst]++
+			} else {
+				deg[e.Src]++
+			}
+		}
+	}
+	d := graph.NewDirectedDegrees(deg)
+	for _, e := range g.Edges {
+		if !e.Dead {
+			if reverse {
+				d.AddEdge(int(e.Dst), int(e.Src))
+			} else {
+				d.AddEdge(int(e.Src), int(e.Dst))
+			}
 		}
 	}
 	return d

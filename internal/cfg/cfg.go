@@ -279,6 +279,31 @@ func (g *Graph) Uses(n NodeID) []string {
 	return nil
 }
 
+// UsesByNode returns Uses(n) for every node, indexed by NodeID. The rows
+// share one backing array, so the table costs a few allocations where a
+// Uses call per node costs one per node that reads a variable. Callers must
+// not mutate the rows.
+func (g *Graph) UsesByNode() [][]string {
+	all := make([]string, 0, len(g.Nodes))
+	ends := make([]int, len(g.Nodes))
+	for i, nd := range g.Nodes {
+		switch nd.Kind {
+		case KindAssign, KindPrint, KindSwitch:
+			all = ast.AppendExprVars(all, nd.Expr)
+		}
+		ends[i] = len(all)
+	}
+	rows := make([][]string, len(g.Nodes))
+	start := 0
+	for i, end := range ends {
+		if end > start {
+			rows[i] = all[start:end:end]
+		}
+		start = end
+	}
+	return rows
+}
+
 // Validate checks the structural invariants of Definition 1 and of the
 // switch/merge discipline. It returns a non-nil error describing every
 // violation found.

@@ -232,6 +232,25 @@ func TestDefsUses(t *testing.T) {
 	}
 }
 
+// TestUsesByNode: the shared-backing table holds Uses(n) for every node, and
+// a row cannot be appended into its neighbour.
+func TestUsesByNode(t *testing.T) {
+	g := buildSrc(t, "read a; b := a + a * 2; if (a < b) { c := b - a; } print c + b + c; x := 1;")
+	rows := g.UsesByNode()
+	if len(rows) != g.NumNodes() {
+		t.Fatalf("%d rows for %d nodes", len(rows), g.NumNodes())
+	}
+	for _, nd := range g.Nodes {
+		got, want := rows[nd.ID], g.Uses(nd.ID)
+		if strings.Join(got, ",") != strings.Join(want, ",") || (got == nil) != (want == nil) {
+			t.Errorf("node %d (%v): row %q, Uses %q", nd.ID, nd.Kind, got, want)
+		}
+		if len(got) != cap(got) {
+			t.Errorf("node %d: row has spare capacity %d", nd.ID, cap(got)-len(got))
+		}
+	}
+}
+
 func TestVarNames(t *testing.T) {
 	g := buildSrc(t, "x := 1; y := x; print y;")
 	idx := g.VarIndex()

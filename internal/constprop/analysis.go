@@ -1,11 +1,14 @@
 package constprop
 
 import (
+	"fmt"
+
 	"dfg/internal/bitset"
 	"dfg/internal/cfg"
 	"dfg/internal/dataflow"
 	"dfg/internal/defuse"
 	"dfg/internal/dfg"
+	"dfg/internal/graph"
 )
 
 // UseKey identifies one variable use site for result comparison.
@@ -40,6 +43,34 @@ func (r *Result) ConstUses() int {
 	return n
 }
 
+// Agree reports whether two results give every use site the same lattice
+// value: first the use counts, then every use. A non-nil error names the
+// least differing use site (by node, then variable), so the message does not
+// depend on map order.
+func Agree(a, b *Result) error {
+	if len(a.UseVals) != len(b.UseVals) {
+		return fmt.Errorf("constprop: use counts differ: %d vs %d", len(a.UseVals), len(b.UseVals))
+	}
+	var err error
+	var first UseKey
+	for k, va := range a.UseVals {
+		vb, ok := b.UseVals[k]
+		if ok && va == vb {
+			continue
+		}
+		if err != nil && (first.Node < k.Node || first.Node == k.Node && first.Var < k.Var) {
+			continue
+		}
+		first = k
+		if ok {
+			err = fmt.Errorf("constprop: use %s@n%d: %s vs %s", k.Var, k.Node, va, vb)
+		} else {
+			err = fmt.Errorf("constprop: use %s@n%d missing in second result", k.Var, k.Node)
+		}
+	}
+	return err
+}
+
 // ---------------------------------------------------------------------------
 // CFG algorithm (Figure 4a)
 
@@ -54,54 +85,75 @@ type env []dataflow.ConstVal
 // O(EV²) bound the DFG algorithm improves on.
 func CFG(g *cfg.Graph) *Result { return CFGOpt(g, Options{}) }
 
-// CFGOpt is CFG with precision extensions enabled per opts.
+// CFGOpt is CFG with precision extensions enabled per opts. Only the
+// per-edge states are allocated: every node's IN vector, and the OUT vector
+// an assignment or a refined switch side builds from it, live in two
+// scratch vectors, and setOut copies them into an edge's state on first
+// arrival.
 func CFGOpt(g *cfg.Graph, opts Options) *Result {
-	res := &Result{G: g, UseVals: map[UseKey]dataflow.ConstVal{}, NodeReached: map[cfg.NodeID]bool{}}
+	nn, ne := g.NumNodes(), g.NumEdges()
+	res := &Result{G: g, NodeReached: make(map[cfg.NodeID]bool, nn)}
 	vars := g.VarNames
 	idx := g.VarIndex()
 	nv := len(vars)
 
-	states := make([]env, g.NumEdges())
+	// states[e] is nil until edge e is reached; then it is edge e's slice of
+	// slab.
+	states := make([]env, ne)
+	slab := make([]dataflow.ConstVal, ne*nv)
 
-	topEnv := func() env {
-		e := make(env, nv)
-		for i := range e {
-			e[i] = dataflow.TopVal
-		}
-		return e
-	}
-
-	// joinInto joins src into dst (dst may be nil = unreached), returning
-	// the new value and whether it changed.
-	joinInto := func(dst, src env, c *dataflow.Counter) (env, bool) {
-		if src == nil {
-			return dst, false
-		}
+	// joinInto joins src into edge eid's state, returning whether it
+	// changed.
+	joinInto := func(eid cfg.EdgeID, src env) bool {
+		dst := states[eid]
 		if dst == nil {
-			cp := make(env, nv)
-			copy(cp, src)
-			c.Joins += nv
-			return cp, true
+			dst = slab[int(eid)*nv : (int(eid)+1)*nv : (int(eid)+1)*nv]
+			copy(dst, src)
+			states[eid] = dst
+			res.Cost.Joins += nv
+			return true
 		}
 		changed := false
 		for i := range dst {
 			nd := dst[i].Join(src[i])
-			c.Joins++
+			res.Cost.Joins++
 			if nd != dst[i] {
 				dst[i] = nd
 				changed = true
 			}
 		}
-		return dst, changed
+		return changed
 	}
 
-	lookupIn := func(in env) func(string) dataflow.ConstVal {
-		return func(v string) dataflow.ConstVal {
-			if i, ok := idx[v]; ok {
-				return in[i]
+	// joinIn computes node n's IN vector (the join of its in-edge states)
+	// into the in scratch vector; false means n is still unreached.
+	in, out := make(env, nv), make(env, nv)
+	joinIn := func(n cfg.NodeID, c *dataflow.Counter) bool {
+		reached := false
+		for _, eid := range g.InEdges(n) {
+			src := states[eid]
+			if src == nil {
+				continue
 			}
-			return dataflow.TopVal
+			if !reached {
+				copy(in, src)
+				c.Joins += nv
+				reached = true
+				continue
+			}
+			for i := range in {
+				in[i] = in[i].Join(src[i])
+				c.Joins++
+			}
 		}
+		return reached
+	}
+
+	lookupIn := func(v string) dataflow.ConstVal {
+		if i, ok := idx[v]; ok {
+			return in[i]
+		}
+		return dataflow.TopVal
 	}
 
 	wl := &bitset.Worklist{}
@@ -109,15 +161,16 @@ func CFGOpt(g *cfg.Graph, opts Options) *Result {
 	// setOut writes vector s to edge eid, enqueueing the destination on
 	// change.
 	setOut := func(eid cfg.EdgeID, s env) {
-		cur, changed := joinInto(states[eid], s, &res.Cost)
-		if changed {
-			states[eid] = cur
+		if joinInto(eid, s) {
 			wl.Push(int(g.Edge(eid).Dst))
 		}
 	}
 
 	// Seed: everything unknown at start.
-	setOut(g.OutEdges(g.Start)[0], topEnv())
+	for i := range out {
+		out[i] = dataflow.TopVal
+	}
+	setOut(g.OutEdges(g.Start)[0], out)
 
 	for {
 		ni, ok := wl.Pop()
@@ -128,12 +181,7 @@ func CFGOpt(g *cfg.Graph, opts Options) *Result {
 		n := cfg.NodeID(ni)
 		nd := g.Node(n)
 
-		// IN = join of in-edge states.
-		var in env
-		for _, eid := range g.InEdges(n) {
-			in, _ = joinInto(in, states[eid], &res.Cost)
-		}
-		if in == nil {
+		if !joinIn(n, &res.Cost) {
 			continue // still unreached
 		}
 
@@ -142,32 +190,29 @@ func CFGOpt(g *cfg.Graph, opts Options) *Result {
 			continue
 		case cfg.KindAssign:
 			res.Cost.Transfers++
-			v := foldExpr(nd.Expr, lookupIn(in))
-			out := make(env, nv)
+			v := foldExpr(nd.Expr, lookupIn)
 			copy(out, in)
 			out[idx[nd.Var]] = v
 			setOut(g.OutEdges(n)[0], out)
 		case cfg.KindRead:
-			out := make(env, nv)
 			copy(out, in)
 			out[idx[nd.Var]] = dataflow.TopVal
 			setOut(g.OutEdges(n)[0], out)
 		case cfg.KindSwitch:
 			res.Cost.Transfers++
-			p := foldExpr(nd.Expr, lookupIn(in))
+			p := foldExpr(nd.Expr, lookupIn)
 			takeT := !(p.IsFalse() || p.Kind == dataflow.Bot)
 			takeF := !(p.IsTrue() || p.Kind == dataflow.Bot)
 			outT, outF := in, in
 			if opts.Predicates {
 				if fact, ok := predicateFact(nd.Expr); ok {
-					refined := make(env, nv)
-					copy(refined, in)
+					copy(out, in)
 					i := idx[fact.Var]
-					refined[i] = refine(refined[i], fact.Val)
+					out[i] = refine(out[i], fact.Val)
 					if fact.OnTrue {
-						outT = refined
+						outT = out
 					} else {
-						outF = refined
+						outF = out
 					}
 				}
 			}
@@ -183,18 +228,18 @@ func CFGOpt(g *cfg.Graph, opts Options) *Result {
 	}
 
 	// Extract use values from in-edge states.
+	uses := g.UsesByNode()
+	numUses := 0
+	for _, us := range uses {
+		numUses += len(us)
+	}
+	res.UseVals = make(map[UseKey]dataflow.ConstVal, numUses)
+	var uncounted dataflow.Counter
 	for _, nd := range g.Nodes {
-		var in env
-		for _, eid := range g.InEdges(nd.ID) {
-			in, _ = joinInto(in, states[eid], &dataflow.Counter{})
-		}
-		if nd.ID == g.Start {
-			res.NodeReached[nd.ID] = true
-		} else {
-			res.NodeReached[nd.ID] = in != nil
-		}
-		for _, v := range g.Uses(nd.ID) {
-			if in == nil {
+		reached := joinIn(nd.ID, &uncounted)
+		res.NodeReached[nd.ID] = reached || nd.ID == g.Start
+		for _, v := range uses[nd.ID] {
+			if !reached {
 				res.UseVals[UseKey{nd.ID, v}] = dataflow.Bottom
 			} else {
 				res.UseVals[UseKey{nd.ID, v}] = in[idx[v]]
@@ -218,37 +263,55 @@ func DFG(d *dfg.Graph) *Result { return DFGOpt(d, Options{}) }
 // refinement applies at the switch operator of the tested variable — a
 // refinement that is natural here precisely because the DFG, unlike SSA,
 // intercepts dependences at switches (§4).
+//
+// The state is dense: one lattice value per source port (dfg.SrcIndex), and
+// per-node lists of use sites and operators. A node has few use sites, so
+// an operand is found by a linear scan of its node's list.
 func DFGOpt(d *dfg.Graph, opts Options) *Result {
 	g := d.G
-	res := &Result{G: g, UseVals: map[UseKey]dataflow.ConstVal{}, NodeReached: map[cfg.NodeID]bool{}}
+	nn := g.NumNodes()
+	res := &Result{G: g, NodeReached: make(map[cfg.NodeID]bool, nn)}
 
-	vals := map[dfg.Src]dataflow.ConstVal{} // default Bottom
+	vals := make([]dataflow.ConstVal, d.NumSrcIndexes()) // zero value is ⊥
+	val := func(s dfg.Src) dataflow.ConstVal {
+		if s.Op == dfg.NoOp {
+			return dataflow.Bottom // a use site orphaned by a patch
+		}
+		return vals[dfg.SrcIndex(s)]
+	}
 
 	// Index: use sites by node (operand lookup for def/switch transfers),
-	// and operator lists by node for re-evaluation scheduling.
-	useAt := map[UseKey]*dfg.UseSite{}
-	for i := range d.Uses {
-		u := &d.Uses[i]
-		useAt[UseKey{u.Node, u.Var}] = u
-	}
-	opsAt := map[cfg.NodeID][]dfg.OpID{}
-	for _, op := range d.Ops {
-		opsAt[op.Node] = append(opsAt[op.Node], op.ID)
-	}
+	// and operators by node for re-evaluation scheduling, both in ID order:
+	// usesAt(n) is useAt[useOff[n]:useOff[n+1]], opsAt(n) likewise.
+	useOff, useAt := graph.Group(nn, len(d.Uses), func(i int) int { return int(d.Uses[i].Node) })
+	opOff, opsAt := graph.Group(nn, len(d.Ops), func(i int) int { return int(d.Ops[i].Node) })
 
-	lookupAt := func(n cfg.NodeID) func(string) dataflow.ConstVal {
-		return func(v string) dataflow.ConstVal {
-			if u, ok := useAt[UseKey{n, v}]; ok {
-				return vals[u.Src]
+	// operands[n] lists the variables node n reads.
+	operands := g.UsesByNode()
+
+	// useOf returns the use site of v at node n. A patched graph may hold
+	// an orphaned site before the fresh one, so the last match wins.
+	useOf := func(n cfg.NodeID, v string) *dfg.UseSite {
+		for i := useOff[n+1] - 1; i >= useOff[n]; i-- {
+			if u := &d.Uses[useAt[i]]; u.Var == v {
+				return u
 			}
-			return dataflow.TopVal
 		}
+		return nil
+	}
+	// at is the node whose operands lookup reads.
+	var at cfg.NodeID
+	lookup := func(v string) dataflow.ConstVal {
+		if u := useOf(at, v); u != nil {
+			return val(u.Src)
+		}
+		return dataflow.TopVal
 	}
 
 	// ctlVal gates statements with no variable operands.
 	ctlVal := func(n cfg.NodeID) dataflow.ConstVal {
-		if u, ok := useAt[UseKey{n, dfg.CtlVar}]; ok {
-			return vals[u.Src]
+		if u := useOf(n, dfg.CtlVar); u != nil {
+			return val(u.Src)
 		}
 		return dataflow.TopVal // has operand uses; gated through them
 	}
@@ -257,19 +320,21 @@ func DFGOpt(d *dfg.Graph, opts Options) *Result {
 
 	// setVal raises the value of a port; on change, schedules consumers.
 	setVal := func(src dfg.Src, v dataflow.ConstVal) {
-		old := vals[src]
+		i := dfg.SrcIndex(src)
+		old := vals[i]
 		nv := old.Join(v)
 		res.Cost.Joins++
 		if nv == old {
 			return
 		}
-		vals[src] = nv
+		vals[i] = nv
 		for _, c := range d.Consumers(src) {
 			if c.UseIdx >= 0 {
 				// A use site feeds the transfer of every operator at its
 				// node (def output, switch predicate).
-				for _, oid := range opsAt[d.Uses[c.UseIdx].Node] {
-					wl.Push(int(oid))
+				n := d.Uses[c.UseIdx].Node
+				for _, oid := range opsAt[opOff[n]:opOff[n+1]] {
+					wl.Push(oid)
 				}
 			} else {
 				wl.Push(int(c.Op))
@@ -288,8 +353,9 @@ func DFGOpt(d *dfg.Graph, opts Options) *Result {
 			var v dataflow.ConstVal
 			switch nd.Kind {
 			case cfg.KindAssign:
-				v = foldExpr(nd.Expr, lookupAt(op.Node))
-				if len(g.Uses(op.Node)) == 0 {
+				at = op.Node
+				v = foldExpr(nd.Expr, lookup)
+				if len(operands[op.Node]) == 0 {
 					// Constant right-hand side: gate on the control edge.
 					if ctlVal(op.Node).Kind == dataflow.Bot {
 						v = dataflow.Bottom
@@ -307,18 +373,19 @@ func DFGOpt(d *dfg.Graph, opts Options) *Result {
 		case dfg.OpMerge:
 			v := dataflow.Bottom
 			for _, in := range op.In {
-				v = v.Join(vals[in])
+				v = v.Join(val(in))
 				res.Cost.Joins++
 			}
 			setVal(dfg.Src{Op: op.ID, Out: cfg.BranchNone}, v)
 
 		case dfg.OpSwitch:
 			nd := g.Node(op.Node)
-			p := foldExpr(nd.Expr, lookupAt(op.Node))
-			if len(g.Uses(op.Node)) == 0 && ctlVal(op.Node).Kind == dataflow.Bot {
+			at = op.Node
+			p := foldExpr(nd.Expr, lookup)
+			if len(operands[op.Node]) == 0 && ctlVal(op.Node).Kind == dataflow.Bot {
 				p = dataflow.Bottom
 			}
-			in := vals[op.In[0]]
+			in := val(op.In[0])
 			t, f := dataflow.Bottom, dataflow.Bottom
 			if !(p.IsFalse() || p.Kind == dataflow.Bot) {
 				t = in
@@ -340,8 +407,7 @@ func DFGOpt(d *dfg.Graph, opts Options) *Result {
 		}
 	}
 
-	// Seed with the init operators in variable order (not the map's, which
-	// would make the visit counts vary from run to run); everything else
+	// Seed with the init operators in variable order; everything else
 	// follows.
 	for _, v := range append([]string{dfg.CtlVar, dfg.IOVar}, g.VarNames...) {
 		if oid, ok := d.InitOf[v]; ok {
@@ -359,11 +425,18 @@ func DFGOpt(d *dfg.Graph, opts Options) *Result {
 
 	// Extract use values and node reachability (a node is reached iff its
 	// control gate or any operand dependence is non-⊥).
+	numUses := 0
+	for i := range d.Uses {
+		if d.Uses[i].Var != dfg.CtlVar {
+			numUses++
+		}
+	}
+	res.UseVals = make(map[UseKey]dataflow.ConstVal, numUses)
 	for _, u := range d.Uses {
 		if u.Var == dfg.CtlVar {
 			continue
 		}
-		res.UseVals[UseKey{u.Node, u.Var}] = vals[u.Src]
+		res.UseVals[UseKey{u.Node, u.Var}] = val(u.Src)
 	}
 	for _, nd := range g.Nodes {
 		reached := false
@@ -371,11 +444,11 @@ func DFGOpt(d *dfg.Graph, opts Options) *Result {
 		case cfg.KindStart, cfg.KindEnd, cfg.KindMerge, cfg.KindNop:
 			reached = true // structural nodes: not meaningful here
 		default:
-			if len(g.Uses(nd.ID)) == 0 {
+			if len(operands[nd.ID]) == 0 {
 				reached = ctlVal(nd.ID).Kind != dataflow.Bot
 			} else {
-				for _, v := range g.Uses(nd.ID) {
-					if vals[useAt[UseKey{nd.ID, v}].Src].Kind != dataflow.Bot {
+				for _, v := range operands[nd.ID] {
+					if val(useOf(nd.ID, v).Src).Kind != dataflow.Bot {
 						reached = true
 					}
 				}

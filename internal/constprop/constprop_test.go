@@ -3,6 +3,7 @@ package constprop
 import (
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"dfg/internal/cfg"
@@ -160,20 +161,9 @@ func agreement(t *testing.T, g *cfg.Graph, label string) {
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	a, b := CFG(g), DFG(d)
-	if len(a.UseVals) != len(b.UseVals) {
-		t.Errorf("%s: use-site counts differ: %d vs %d", label, len(a.UseVals), len(b.UseVals))
-		return
-	}
-	for k, va := range a.UseVals {
-		vb, ok := b.UseVals[k]
-		if !ok {
-			t.Errorf("%s: DFG missing use %v", label, k)
-			continue
-		}
-		if va != vb {
-			t.Errorf("%s: use %v: CFG=%s DFG=%s\ncfg:\n%s", label, k, va, vb, g)
-		}
+	a := CFG(g)
+	if err := Agree(a, DFG(d)); err != nil {
+		t.Errorf("%s: CFG vs DFG: %v\ncfg:\n%s", label, err, g)
 	}
 	// Def-use must never claim a constant the CFG algorithm disagrees with
 	// (it may only be less precise).
@@ -356,7 +346,7 @@ func TestCostAccounting(t *testing.T) {
 	}
 }
 
-// TestDFGCostDeterministic: the sparse algorithm's operation counts are a
+// TestDFGCostDeterministic: both algorithms' operation counts are a
 // function of the program, so a count-based comparison (E4) reads the same
 // figure on every run.
 func TestDFGCostDeterministic(t *testing.T) {
@@ -375,9 +365,13 @@ func TestDFGCostDeterministic(t *testing.T) {
 	for name, g := range progs {
 		for _, opts := range []Options{{}, {Predicates: true}} {
 			first := DFGOpt(dfg.MustBuild(g), opts).Cost
+			firstCFG := CFGOpt(g, opts).Cost
 			for run := 1; run < 20; run++ {
 				if got := DFGOpt(dfg.MustBuild(g), opts).Cost; got != first {
-					t.Fatalf("%s %+v: run %d cost %+v, run 0 cost %+v", name, opts, run, got, first)
+					t.Fatalf("%s %+v: DFG run %d cost %+v, run 0 cost %+v", name, opts, run, got, first)
+				}
+				if got := CFGOpt(g, opts).Cost; got != firstCFG {
+					t.Fatalf("%s %+v: CFG run %d cost %+v, run 0 cost %+v", name, opts, run, got, firstCFG)
 				}
 			}
 		}
@@ -403,5 +397,32 @@ func TestCostScalingWithVariables(t *testing.T) {
 	if ratio64 <= ratio8 {
 		t.Errorf("CFG/DFG cost ratio should grow with V: V=8 → %.2f, V=64 → %.2f (cfg %d/%d, dfg %d/%d)",
 			ratio8, ratio64, c8, c64, d8, d64)
+	}
+}
+
+// TestAgree: Agree catches a use that only one result has (either side), a
+// differing value, and names the least differing use whatever the map order.
+func TestAgree(t *testing.T) {
+	c := func(i int64) dataflow.ConstVal { return dataflow.ConstOf(interp.IntVal(i)) }
+	res := func(vals map[UseKey]dataflow.ConstVal) *Result { return &Result{UseVals: vals} }
+	base := map[UseKey]dataflow.ConstVal{{1, "x"}: c(1), {2, "y"}: dataflow.TopVal, {3, "z"}: c(3)}
+	if err := Agree(res(base), res(base)); err != nil {
+		t.Errorf("identical results: %v", err)
+	}
+	extra := map[UseKey]dataflow.ConstVal{{1, "x"}: c(1), {2, "y"}: dataflow.TopVal, {3, "z"}: c(3), {4, "w"}: c(4)}
+	for _, pair := range [][2]*Result{{res(base), res(extra)}, {res(extra), res(base)}} {
+		if err := Agree(pair[0], pair[1]); err == nil || !strings.Contains(err.Error(), "use counts differ") {
+			t.Errorf("a use only one side has: %v", err)
+		}
+	}
+	moved := map[UseKey]dataflow.ConstVal{{1, "x"}: c(1), {2, "y"}: dataflow.TopVal, {5, "z"}: c(3)}
+	if err := Agree(res(base), res(moved)); err == nil || !strings.Contains(err.Error(), "z@n3 missing") {
+		t.Errorf("same count, different sites: %v", err)
+	}
+	diff := map[UseKey]dataflow.ConstVal{{1, "x"}: c(2), {2, "y"}: dataflow.Bottom, {3, "z"}: c(3)}
+	for run := 0; run < 20; run++ {
+		if err := Agree(res(base), res(diff)); err == nil || err.Error() != "constprop: use x@n1: 1 vs 2" {
+			t.Fatalf("differing values: %v", err)
+		}
 	}
 }

@@ -23,12 +23,8 @@ func TestDFGAlgorithmIdenticalAcrossGranularities(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %v: %v", seed, gran, err)
 			}
-			got := DFG(d)
-			for k, want := range ref.UseVals {
-				if gv := got.UseVals[k]; gv != want {
-					t.Errorf("seed %d, granularity %v: use %v: got %s want %s",
-						seed, gran, k, gv, want)
-				}
+			if err := Agree(ref, DFG(d)); err != nil {
+				t.Errorf("seed %d, granularity %v: CFG vs DFG: %v", seed, gran, err)
 			}
 		}
 	}

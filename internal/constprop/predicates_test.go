@@ -92,12 +92,9 @@ func TestPredicateAgreementRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, b := CFGOpt(g, opts), DFGOpt(d, opts)
-		for k, va := range a.UseVals {
-			if vb := b.UseVals[k]; va != vb {
-				t.Errorf("seed %d: use %v: CFG=%s DFG=%s\ncfg:\n%s", seed, k, va, vb, g)
-				return
-			}
+		if err := Agree(CFGOpt(g, opts), DFGOpt(d, opts)); err != nil {
+			t.Errorf("seed %d: CFG vs DFG: %v\ncfg:\n%s", seed, err, g)
+			return
 		}
 	}
 }

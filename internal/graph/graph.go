@@ -23,6 +23,55 @@ func NewDirected(n int) *Directed {
 	return &Directed{N: n, Succ: make([][]int, n)}
 }
 
+// NewDirectedDegrees returns an empty graph whose node i has room for deg[i]
+// successors: the adjacency lists share one backing array, so adding up to
+// that many edges per node allocates nothing.
+func NewDirectedDegrees(deg []int) *Directed {
+	return &Directed{N: len(deg), Succ: rowsOf(deg)}
+}
+
+// rowsOf returns len(deg) empty rows carved from one backing array, row i
+// with capacity deg[i].
+func rowsOf(deg []int) [][]int {
+	total := 0
+	for _, k := range deg {
+		total += k
+	}
+	back := make([]int, total)
+	rows := make([][]int, len(deg))
+	off := 0
+	for i, k := range deg {
+		rows[i] = back[off : off : off+k]
+		off += k
+	}
+	return rows
+}
+
+// Group sorts the items 0…count-1 into groups 0…n-1 by key(i), stably,
+// skipping items whose key is -1: group k is list[off[k]:off[k+1]], in
+// ascending item order. It is the flat form of a [][]int built by appending
+// i to row key(i), at three allocations instead of one per row.
+func Group(n, count int, key func(i int) int) (off, list []int) {
+	off = make([]int, n+1)
+	for i := 0; i < count; i++ {
+		if k := key(i); k >= 0 {
+			off[k+1]++
+		}
+	}
+	for k := 0; k < n; k++ {
+		off[k+1] += off[k]
+	}
+	list = make([]int, off[n])
+	fill := append([]int(nil), off[:n]...)
+	for i := 0; i < count; i++ {
+		if k := key(i); k >= 0 {
+			list[fill[k]] = i
+			fill[k]++
+		}
+	}
+	return off, list
+}
+
 // AddEdge appends the edge u→v.
 func (d *Directed) AddEdge(u, v int) {
 	d.Succ[u] = append(d.Succ[u], v)
@@ -41,7 +90,13 @@ func (d *Directed) Reverse() *Directed {
 
 // Preds computes predecessor lists.
 func (d *Directed) Preds() [][]int {
-	p := make([][]int, d.N)
+	deg := make([]int, d.N)
+	for _, ss := range d.Succ {
+		for _, v := range ss {
+			deg[v]++
+		}
+	}
+	p := rowsOf(deg)
 	for u, ss := range d.Succ {
 		for _, v := range ss {
 			p[v] = append(p[v], u)
@@ -75,9 +130,11 @@ type DFSResult struct {
 // DFS performs an iterative depth-first traversal from root.
 func DFS(d *Directed, root int) *DFSResult {
 	res := &DFSResult{
-		PreNum:  make([]int, d.N),
-		PostNum: make([]int, d.N),
-		Parent:  make([]int, d.N),
+		Preorder:  make([]int, 0, d.N),
+		Postorder: make([]int, 0, d.N),
+		PreNum:    make([]int, d.N),
+		PostNum:   make([]int, d.N),
+		Parent:    make([]int, d.N),
 	}
 	for i := range res.PreNum {
 		res.PreNum[i] = -1
@@ -235,7 +292,12 @@ func DominatorDepths(idom []int) []int {
 // al.). The returned lists are unsorted and duplicate-free.
 func DominanceFrontiers(d *Directed, idom []int) [][]int {
 	df := make([][]int, d.N)
-	inDF := make([]map[int]bool, d.N)
+	// lastIn[r] is the last n appended to df[r]: every n is appended in one
+	// outer iteration, so this is the whole duplicate check.
+	lastIn := make([]int, d.N)
+	for i := range lastIn {
+		lastIn[i] = -1
+	}
 	preds := d.Preds()
 	for n := 0; n < d.N; n++ {
 		if idom[n] == -1 || len(preds[n]) < 2 {
@@ -247,11 +309,8 @@ func DominanceFrontiers(d *Directed, idom []int) [][]int {
 			}
 			runner := p
 			for runner != idom[n] && runner != -1 {
-				if inDF[runner] == nil {
-					inDF[runner] = map[int]bool{}
-				}
-				if !inDF[runner][n] {
-					inDF[runner][n] = true
+				if lastIn[runner] != n {
+					lastIn[runner] = n
 					df[runner] = append(df[runner], n)
 				}
 				if runner == idom[runner] {

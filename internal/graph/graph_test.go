@@ -16,6 +16,54 @@ func diamond() *Directed {
 	return d
 }
 
+func TestGroup(t *testing.T) {
+	keys := []int{2, 0, -1, 2, 0, 1}
+	off, list := Group(4, len(keys), func(i int) int { return keys[i] })
+	want := [][]int{{1, 4}, {5}, {0, 3}, {}}
+	for k, w := range want {
+		got := list[off[k]:off[k+1]]
+		if len(got) != len(w) {
+			t.Fatalf("group %d = %v, want %v", k, got, w)
+		}
+		for i := range w {
+			if got[i] != w[i] {
+				t.Errorf("group %d = %v, want %v", k, got, w)
+			}
+		}
+	}
+}
+
+// TestNewDirectedDegrees: a graph with reserved rows behaves like one built
+// by appending, and adding the reserved edges does not spill a row into its
+// neighbour.
+func TestNewDirectedDegrees(t *testing.T) {
+	d := NewDirectedDegrees([]int{2, 1, 2, 0})
+	d.AddEdge(0, 1)
+	d.AddEdge(2, 1)
+	d.AddEdge(0, 2)
+	d.AddEdge(1, 2)
+	d.AddEdge(2, 3)
+	ref := NewDirected(4)
+	ref.AddEdge(0, 1)
+	ref.AddEdge(2, 1)
+	ref.AddEdge(0, 2)
+	ref.AddEdge(1, 2)
+	ref.AddEdge(2, 3)
+	for u := range ref.Succ {
+		if len(d.Succ[u]) != len(ref.Succ[u]) {
+			t.Fatalf("Succ[%d] = %v, want %v", u, d.Succ[u], ref.Succ[u])
+		}
+		for i := range ref.Succ[u] {
+			if d.Succ[u][i] != ref.Succ[u][i] {
+				t.Errorf("Succ[%d] = %v, want %v", u, d.Succ[u], ref.Succ[u])
+			}
+		}
+	}
+	if p := d.Preds(); len(p[1]) != 2 || p[1][0] != 0 || p[1][1] != 2 || len(p[2]) != 2 {
+		t.Errorf("Preds = %v", p)
+	}
+}
+
 // loop: 0 -> 1 -> 2 -> 1, 2 -> 3
 func loop() *Directed {
 	d := NewDirected(4)

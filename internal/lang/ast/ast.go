@@ -326,7 +326,14 @@ func ExprVars(e Expr) []string {
 	if n == 0 {
 		return nil
 	}
-	return appendVars(make([]string, 0, n), e)
+	return appendVars(make([]string, 0, n), 0, e)
+}
+
+// AppendExprVars appends to dst the distinct variable names referenced by e,
+// in first-use order. Only the names it appends are deduplicated, so one
+// buffer can hold the variable lists of many expressions back to back.
+func AppendExprVars(dst []string, e Expr) []string {
+	return appendVars(dst, len(dst), e)
 }
 
 // countVarRefs counts e's variable references, repeats included.
@@ -342,18 +349,18 @@ func countVarRefs(e Expr) int {
 	return 0
 }
 
-// appendVars appends the names e references that are not yet in names,
-// left to right.
-func appendVars(names []string, e Expr) []string {
+// appendVars appends the names e references that are not yet in
+// names[from:], left to right.
+func appendVars(names []string, from int, e Expr) []string {
 	switch e := e.(type) {
 	case *VarRef:
-		if !slices.Contains(names, e.Name) {
+		if !slices.Contains(names[from:], e.Name) {
 			names = append(names, e.Name)
 		}
 	case *BinaryExpr:
-		return appendVars(appendVars(names, e.X), e.Y)
+		return appendVars(appendVars(names, from, e.X), from, e.Y)
 	case *UnaryExpr:
-		return appendVars(names, e.X)
+		return appendVars(names, from, e.X)
 	}
 	return names
 }

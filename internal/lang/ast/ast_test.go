@@ -133,6 +133,17 @@ func TestExprVarsOrderAndAllocs(t *testing.T) {
 	}
 }
 
+// TestAppendExprVars: appending dedups only among the names this call adds,
+// so back-to-back lists in one buffer each keep their own names.
+func TestAppendExprVars(t *testing.T) {
+	buf := AppendExprVars(nil, bin(token.PLUS, v("a"), v("b")))
+	buf = AppendExprVars(buf, bin(token.STAR, v("b"), bin(token.PLUS, v("a"), v("b"))))
+	buf = AppendExprVars(buf, i(1))
+	if want := []string{"a", "b", "b", "a"}; !slices.Equal(buf, want) {
+		t.Errorf("buffer = %q, want %q", buf, want)
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	orig := bin(token.PLUS, v("a"), i(1))
 	c := CloneExpr(orig).(*BinaryExpr)

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"dfg/internal/lang/ast"
 	"dfg/internal/workload"
 )
 
@@ -133,13 +134,35 @@ func BenchmarkPipelineBatch(b *testing.B) {
 
 // BenchmarkStageCold measures each pipeline stage in isolation:
 // dependencies are precomputed outside the timed region, so a
-// regression in one stage shows up in exactly one sub-benchmark. The corpus
-// is a slice of the same Mixed(15) family BenchmarkPipelineBatch runs.
+// regression in one stage shows up in exactly one sub-benchmark. The
+// top-level rows run a slice of the same Mixed(15) family
+// BenchmarkPipelineBatch runs; the per-family rows run the shapes that
+// dominate a cold mixed workload's tail (deep loops, irreducible control
+// flow, many variables).
 func BenchmarkStageCold(b *testing.B) {
 	srcs := make([]string, 10)
 	for i := range srcs {
 		srcs[i] = workload.Mixed(15, int64(i+1)).String()
 	}
+	benchStages(b, srcs)
+	for _, fam := range []struct {
+		name string
+		prog func(seed int64) *ast.Program
+	}{
+		{"LoopNest(6,4)", func(seed int64) *ast.Program { return workload.LoopNest(6, 4, seed) }},
+		{"Irreducible(40)", func(seed int64) *ast.Program { return workload.Irreducible(40, seed) }},
+		{"Wide(300)", func(seed int64) *ast.Program { return workload.Wide(300, seed) }},
+	} {
+		srcs := make([]string, 3)
+		for i := range srcs {
+			srcs[i] = fam.prog(int64(i + 1)).String()
+		}
+		b.Run(fam.name, func(b *testing.B) { benchStages(b, srcs) })
+	}
+}
+
+// benchStages runs one sub-benchmark per stage over srcs.
+func benchStages(b *testing.B, srcs []string) {
 	for _, st := range AllStages() {
 		b.Run(string(st), func(b *testing.B) {
 			// Precompute the stage's dependencies once per source. The

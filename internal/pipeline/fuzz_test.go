@@ -13,7 +13,8 @@ import (
 // engine. The contract under test: a malformed program fails its own
 // request with an error — the parse stage in particular must never panic
 // (panics from deeper stages are recovered by the engine and surface as
-// *StageError, which is tolerated but counted).
+// *StageError, which is tolerated but counted) — and a program that
+// analyzes gets equivalent SSA forms and agreeing constant propagations.
 func FuzzEngineAnalyze(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -44,8 +45,16 @@ func FuzzEngineAnalyze(f *testing.F) {
 			}
 			return
 		}
-		if res.CFG == nil || res.DFG == nil {
-			t.Error("successful analysis with missing artifacts")
+		if res.CFG == nil || res.DFG == nil || res.SSA == nil || res.Cprop == nil {
+			t.Fatal("successful analysis with missing artifacts")
+		}
+		// The two SSA constructions and the two constant propagations must
+		// agree on every program that analyzes.
+		if !res.SSA.Equivalent {
+			t.Errorf("Cytron and DFG-derived SSA differ: %s", res.SSA.Mismatch)
+		}
+		if !res.Cprop.Agree {
+			t.Errorf("CFG and DFG constant propagation disagree: %s", res.Cprop.Mismatch)
 		}
 	})
 }

@@ -215,12 +215,13 @@ type SSAResult struct {
 }
 
 // ConstpropResult is the constprop stage artifact: both algorithms plus
-// their agreement verdict on shared use sites.
+// their agreement verdict (constprop.Agree).
 type ConstpropResult struct {
 	CFG       *constprop.Result
 	DFG       *constprop.Result
 	Agree     bool
-	ConstUses int // use sites proved constant (CFG algorithm)
+	Mismatch  string // explanation when they disagree
+	ConstUses int    // use sites proved constant (CFG algorithm)
 }
 
 // ExprAnticip summarizes anticipatability of one candidate expression.
@@ -505,12 +506,10 @@ func compute(st Stage, opts Options, res *Result) (any, error) {
 			CFG: constprop.CFGOpt(res.CFG, copts),
 			DFG: constprop.DFGOpt(res.DFG, copts),
 		}
-		out.Agree = true
-		for k, va := range out.CFG.UseVals {
-			if vb := out.DFG.UseVals[k]; va != vb {
-				out.Agree = false
-				break
-			}
+		if err := constprop.Agree(out.CFG, out.DFG); err != nil {
+			out.Mismatch = err.Error()
+		} else {
+			out.Agree = true
 		}
 		out.ConstUses = out.CFG.ConstUses()
 		return out, nil

@@ -67,10 +67,10 @@ type SSAReport struct {
 	Mismatch   string `json:"mismatch,omitempty"`
 }
 
-// ConstpropReport deliberately omits the algorithms' cost counters: worklist
-// visit counts vary with map iteration order run to run, and Report is the
-// deterministic surface batch/serial equality tests compare. Cost lives on
-// Result.Cprop for callers that want it (cmd/dfg prints it).
+// ConstpropReport omits the algorithms' cost counters. They are
+// deterministic (TestDFGCostDeterministic and TestPinnedOpCounts pin them),
+// but adding fields would change every report's bytes and the schema. Cost
+// lives on Result.Cprop for callers that want it (cmd/dfg prints it).
 type ConstpropReport struct {
 	ConstUses int  `json:"const_uses"`
 	Agree     bool `json:"agree"`

@@ -107,97 +107,151 @@ func (f *Form) Size() int {
 // ---------------------------------------------------------------------------
 // Cytron et al. baseline
 
-// Cytron builds minimal SSA with the standard two-phase algorithm.
+// Cytron builds minimal SSA with the standard two-phase algorithm. Placement
+// records each node's φs in a per-node list, so renaming visits only the φs
+// that exist rather than probing every variable at every node and edge.
 func Cytron(g *cfg.Graph) *Form {
-	f := &Form{G: g, Phis: map[PhiKey]*Phi{}, UseDef: map[UseKey]Value{}}
+	nn, nv := g.NumNodes(), len(g.VarNames)
+	idx := g.VarIndex()
+	uses := g.UsesByNode()
 
 	pos := g.Positional()
 	idom := graph.Dominators(pos, int(g.Start))
 	df := graph.DominanceFrontiers(pos, idom)
 
-	// Dominator tree children.
-	children := make([][]int, g.NumNodes())
-	for n := 0; n < g.NumNodes(); n++ {
-		if idom[n] != -1 && idom[n] != n {
-			children[idom[n]] = append(children[idom[n]], n)
+	// Dominator tree children: children(n) is kids[kidOff[n]:kidOff[n+1]].
+	kidOff, kids := graph.Group(nn, nn, func(n int) int {
+		if idom[n] == -1 || idom[n] == n {
+			return -1
+		}
+		return idom[n]
+	})
+
+	// Each node's defined variable number (-1 for none); defSites(v) is
+	// defs[defOff[v]:defOff[v+1]].
+	defVar := make([]int, nn)
+	numUses := 0
+	for n := 0; n < nn; n++ {
+		numUses += len(uses[n])
+		defVar[n] = -1
+		if v := g.Defs(cfg.NodeID(n)); v != "" {
+			defVar[n] = idx[v]
 		}
 	}
+	defOff, defs := graph.Group(nv, nn, func(n int) int { return defVar[n] })
 
 	// Phase 1: φ placement at iterated dominance frontiers. Every variable
 	// has an implicit definition at start (so one def site is always
-	// present and uses before any real def resolve to init).
-	for _, v := range g.VarNames {
-		var work []int
-		inWork := make([]bool, g.NumNodes())
-		hasPhi := make([]bool, g.NumNodes())
+	// present and uses before any real def resolve to init). The worklist
+	// and φ marks are stamped with the variable number, so one pair of
+	// arrays serves every variable.
+	type site struct{ node, v int }
+	var placed []site
+	inWork := make([]int, nn)
+	hasPhi := make([]int, nn)
+	for i := range inWork {
+		inWork[i], hasPhi[i] = -1, -1
+	}
+	var work []int
+	for v := 0; v < nv; v++ {
 		push := func(n int) {
-			if !inWork[n] {
-				inWork[n] = true
+			if inWork[n] != v {
+				inWork[n] = v
 				work = append(work, n)
 			}
 		}
 		push(int(g.Start))
-		for _, nd := range g.Nodes {
-			if g.Defs(nd.ID) == v {
-				push(int(nd.ID))
-			}
+		for _, n := range defs[defOff[v]:defOff[v+1]] {
+			push(n)
 		}
 		for len(work) > 0 {
 			n := work[len(work)-1]
 			work = work[:len(work)-1]
 			for _, y := range df[n] {
-				if !hasPhi[y] {
-					hasPhi[y] = true
-					key := PhiKey{cfg.NodeID(y), v}
-					f.Phis[key] = &Phi{Node: cfg.NodeID(y), Var: v, Args: map[cfg.EdgeID]Value{}}
+				if hasPhi[y] != v {
+					hasPhi[y] = v
+					placed = append(placed, site{y, v})
 					push(y)
 				}
 			}
 		}
 	}
 
-	// Phase 2: renaming along the dominator tree.
-	stacks := map[string][]Value{}
-	for _, v := range g.VarNames {
-		stacks[v] = []Value{{Kind: ValInit, Node: g.Start, Var: v}}
+	// The φs by node: phisAt(n) is phis[phiOff[n]:phiOff[n+1]], in
+	// variable order, and phiVar parallels phis.
+	phiOff, order := graph.Group(nn, len(placed), func(i int) int { return placed[i].node })
+	phis := make([]Phi, len(placed))
+	phiVar := make([]int, len(placed))
+	for i, j := range order {
+		s := placed[j]
+		id := cfg.NodeID(s.node)
+		phis[i] = Phi{Node: id, Var: g.VarNames[s.v], Args: make(map[cfg.EdgeID]Value, len(g.InEdges(id)))}
+		phiVar[i] = s.v
 	}
-	top := func(v string) Value { s := stacks[v]; return s[len(s)-1] }
+	f := &Form{G: g, Phis: make(map[PhiKey]*Phi, len(phis)), UseDef: make(map[UseKey]Value, numUses)}
+	for i := range phis {
+		f.Phis[PhiKey{phis[i].Node, phis[i].Var}] = &phis[i]
+	}
+
+	// Phase 2: renaming along the dominator tree. The version stacks of all
+	// variables share one slice: top[v] indexes v's current version, and
+	// each version links to the one it hides. Pushes and pops nest, so a
+	// pop always removes the slice's last entry.
+	type version struct {
+		kind ValueKind
+		node cfg.NodeID
+		prev int
+	}
+	versions := make([]version, nv, 2*nv)
+	top := make([]int, nv)
+	for v := range versions {
+		versions[v] = version{kind: ValInit, node: g.Start, prev: -1}
+		top[v] = v
+	}
+	current := func(v int) Value {
+		ver := versions[top[v]]
+		return Value{Kind: ver.kind, Node: ver.node, Var: g.VarNames[v]}
+	}
+	push := func(v int, k ValueKind, n cfg.NodeID) {
+		versions = append(versions, version{kind: k, node: n, prev: top[v]})
+		top[v] = len(versions) - 1
+	}
+	pop := func(v int) {
+		top[v] = versions[top[v]].prev
+		versions = versions[:len(versions)-1]
+	}
 
 	var rename func(n int)
 	rename = func(n int) {
 		id := cfg.NodeID(n)
-		pushed := map[string]int{}
-
 		// φs at this node define new versions before any use in the node.
-		for _, v := range g.VarNames {
-			if _, ok := f.Phis[PhiKey{id, v}]; ok {
-				stacks[v] = append(stacks[v], Value{Kind: ValPhi, Node: id, Var: v})
-				pushed[v]++
-			}
+		for i := phiOff[n]; i < phiOff[n+1]; i++ {
+			push(phiVar[i], ValPhi, id)
 		}
 		// Uses at this node see the current versions.
-		for _, v := range g.Uses(id) {
-			f.UseDef[UseKey{id, v}] = top(v)
+		for _, v := range uses[n] {
+			f.UseDef[UseKey{id, v}] = current(idx[v])
 		}
 		// A definition at this node pushes a new version.
-		if v := g.Defs(id); v != "" {
-			stacks[v] = append(stacks[v], Value{Kind: ValDef, Node: id, Var: v})
-			pushed[v]++
+		if v := defVar[n]; v >= 0 {
+			push(v, ValDef, id)
 		}
-		// Fill φ arguments of successors for the edges out of this node.
+		// Fill the arguments of the successors' φs for the edges out of
+		// this node.
 		for _, eid := range g.OutEdges(id) {
 			succ := g.Edge(eid).Dst
-			for _, v := range g.VarNames {
-				if phi, ok := f.Phis[PhiKey{succ, v}]; ok {
-					phi.Args[eid] = top(v)
-				}
+			for i := phiOff[succ]; i < phiOff[succ+1]; i++ {
+				phis[i].Args[eid] = current(phiVar[i])
 			}
 		}
-		for _, c := range children[n] {
+		for _, c := range kids[kidOff[n]:kidOff[n+1]] {
 			rename(c)
 		}
-		for v, k := range pushed {
-			stacks[v] = stacks[v][:len(stacks[v])-k]
+		if v := defVar[n]; v >= 0 {
+			pop(v)
+		}
+		for i := phiOff[n+1] - 1; i >= phiOff[n]; i-- {
+			pop(phiVar[i])
 		}
 	}
 	rename(int(g.Start))
@@ -209,90 +263,94 @@ func Cytron(g *cfg.Graph) *Form {
 
 // FromDFG derives SSA from a dependence flow graph by eliding switch
 // operators and converting merge operators to φ-functions. No dominance
-// information is used.
+// information is used. An SSA value is identified by the operator that
+// produced it (init, def or merge), so the renaming state is a slice
+// indexed by source port and the canonicalization a slice indexed by
+// operator; the exported maps are built once at the end.
 func FromDFG(d *dfg.Graph) *Form {
-	f := &Form{G: d.G, Phis: map[PhiKey]*Phi{}, UseDef: map[UseKey]Value{}}
-
 	// resolve follows a dependence source through (elided) switch operators
-	// to the def, init, or merge that produced it.
-	var resolve func(s dfg.Src) Value
-	memo := map[dfg.Src]Value{}
-	resolve = func(s dfg.Src) Value {
-		if v, ok := memo[s]; ok {
-			return v
+	// to the init, def or merge operator that produced it.
+	memo := make([]dfg.OpID, d.NumSrcIndexes())
+	for i := range memo {
+		memo[i] = dfg.NoOp
+	}
+	var resolve func(s dfg.Src) dfg.OpID
+	resolve = func(s dfg.Src) dfg.OpID {
+		i := dfg.SrcIndex(s)
+		if memo[i] == dfg.NoOp {
+			memo[i] = s.Op
+			if d.Ops[s.Op].Kind == dfg.OpSwitch {
+				memo[i] = resolve(d.Ops[s.Op].In[0]) // elide
+			}
 		}
-		op := d.Ops[s.Op]
-		var val Value
+		return memo[i]
+	}
+	value := func(o dfg.OpID) Value {
+		op := &d.Ops[o]
 		switch op.Kind {
 		case dfg.OpInit:
-			val = Value{Kind: ValInit, Node: d.G.Start, Var: op.Var}
+			return Value{Kind: ValInit, Node: d.G.Start, Var: op.Var}
 		case dfg.OpDef:
-			val = Value{Kind: ValDef, Node: op.Node, Var: op.Var}
-		case dfg.OpMerge:
-			val = Value{Kind: ValPhi, Node: op.Node, Var: op.Var}
-		case dfg.OpSwitch:
-			val = resolve(op.In[0]) // elide
+			return Value{Kind: ValDef, Node: op.Node, Var: op.Var}
 		}
-		memo[s] = val
-		return val
+		return Value{Kind: ValPhi, Node: op.Node, Var: op.Var}
 	}
 
-	// Materialize φs from merge operators (reachable ones only: the DFG is
-	// pruned, so this yields pruned SSA).
-	for _, op := range d.Ops {
-		if op.Kind != dfg.OpMerge || op.Var == dfg.CtlVar || !op.LiveOut[0] {
-			continue
+	// φs come from the live merge operators (the DFG is pruned, so this
+	// yields pruned SSA).
+	isPhi := func(op *dfg.Op) bool {
+		return op.Kind == dfg.OpMerge && op.Var != dfg.CtlVar && op.LiveOut[0]
+	}
+	numPhis := 0
+	for i := range d.Ops {
+		if isPhi(&d.Ops[i]) {
+			numPhis++
 		}
-		phi := &Phi{Node: op.Node, Var: op.Var, Args: map[cfg.EdgeID]Value{}}
-		for i, in := range op.In {
-			phi.Args[op.InEdges[i]] = resolve(in)
+	}
+	phis := make([]dfg.OpID, 0, numPhis)
+	for i := range d.Ops {
+		if isPhi(&d.Ops[i]) {
+			phis = append(phis, dfg.OpID(i))
 		}
-		f.Phis[PhiKey{op.Node, op.Var}] = phi
 	}
 
 	// The DFG intercepts dependences at merges whenever a region merely
 	// *uses* a variable, so some merge operators are trivial as
 	// φ-functions: φ(v, …, v, φ_self) ≡ v. Minimal SSA has no such φs;
-	// eliminate them by fixpoint (the standard trivial-φ rule).
-	canon := map[PhiKey]Value{}
-	for k := range f.Phis {
-		canon[k] = Value{Kind: ValPhi, Node: k.Node, Var: k.Var}
+	// eliminate them by fixpoint (the standard trivial-φ rule). canon[o] is
+	// o for every operator not (yet) resolved away.
+	canon := make([]dfg.OpID, len(d.Ops))
+	for i := range canon {
+		canon[i] = dfg.OpID(i)
 	}
-	var canonical func(v Value) Value
-	canonical = func(v Value) Value {
-		for v.Kind == ValPhi {
-			c := canon[PhiKey{v.Node, v.Var}]
-			if c == v {
-				return v
-			}
-			v = c
+	canonical := func(o dfg.OpID) dfg.OpID {
+		for canon[o] != o {
+			o = canon[o]
 		}
-		return v
+		return o
 	}
 	for changed := true; changed; {
 		changed = false
-		for k, phi := range f.Phis {
-			self := canon[k]
-			if self.Kind != ValPhi || self.Node != k.Node {
+		for _, p := range phis {
+			if canon[p] != p {
 				continue // already resolved away
 			}
-			var uniq Value
+			uniq := dfg.NoOp
 			trivial := true
-			seen := false
-			for _, a := range phi.Args {
-				ca := canonical(a)
-				if ca == self {
+			for _, in := range d.Ops[p].In {
+				ca := canonical(resolve(in))
+				if ca == p {
 					continue // self-reference through the loop
 				}
-				if !seen {
-					uniq, seen = ca, true
+				if uniq == dfg.NoOp {
+					uniq = ca
 				} else if ca != uniq {
 					trivial = false
 					break
 				}
 			}
-			if trivial && seen {
-				canon[k] = uniq
+			if trivial && uniq != dfg.NoOp {
+				canon[p] = uniq
 				changed = true
 			}
 		}
@@ -304,92 +362,102 @@ func FromDFG(d *dfg.Graph) *Form {
 	// equivalent to v (the redundant-φ-web rule of Braun et al.). The
 	// simple fixpoint above cannot see this, so collapse φ-SCCs
 	// explicitly, innermost first.
-	collapsePhiWebs(f, canon, canonical)
+	collapsePhiWebs(d, phis, canon, canonical, resolve)
 
 	// Emit the surviving φs with canonicalized arguments, and uses mapped
 	// through the canonical values.
-	phis := map[PhiKey]*Phi{}
-	for k, phi := range f.Phis {
-		if canonical(Value{Kind: ValPhi, Node: k.Node, Var: k.Var}) != (Value{Kind: ValPhi, Node: k.Node, Var: k.Var}) {
+	live := 0
+	for _, p := range phis {
+		if canon[p] == p {
+			live++
+		}
+	}
+	numUses := 0
+	for i := range d.Uses {
+		if d.Uses[i].Var != dfg.CtlVar {
+			numUses++
+		}
+	}
+	f := &Form{G: d.G, Phis: make(map[PhiKey]*Phi, live), UseDef: make(map[UseKey]Value, numUses)}
+	out := make([]Phi, 0, live)
+	for _, p := range phis {
+		if canon[p] != p {
 			continue // eliminated as trivial
 		}
-		np := &Phi{Node: phi.Node, Var: phi.Var, Args: map[cfg.EdgeID]Value{}}
-		for e, a := range phi.Args {
-			np.Args[e] = canonical(a)
+		op := &d.Ops[p]
+		out = append(out, Phi{Node: op.Node, Var: op.Var, Args: make(map[cfg.EdgeID]Value, len(op.In))})
+		np := &out[len(out)-1]
+		for i, in := range op.In {
+			np.Args[op.InEdges[i]] = value(canonical(resolve(in)))
 		}
-		phis[k] = np
+		f.Phis[PhiKey{op.Node, op.Var}] = np
 	}
-	f.Phis = phis
-
 	for _, u := range d.Uses {
 		if u.Var == dfg.CtlVar {
 			continue
 		}
-		f.UseDef[UseKey{u.Node, u.Var}] = canonical(resolve(u.Src))
+		f.UseDef[UseKey{u.Node, u.Var}] = value(canonical(resolve(u.Src)))
 	}
 	return f
 }
 
 // collapsePhiWebs resolves strongly connected components of φ-functions
-// whose arguments, outside the component, are all one value: the whole web
-// canonicalizes to that value. Components are processed in dependency
-// order (arguments before the φs that use them), so chained webs collapse
-// in one pass.
-func collapsePhiWebs(f *Form, canon map[PhiKey]Value, canonical func(Value) Value) {
-	// Index the φs still canonical to themselves.
-	var keys []PhiKey
-	idx := map[PhiKey]int{}
-	for k := range f.Phis {
-		self := Value{Kind: ValPhi, Node: k.Node, Var: k.Var}
-		if canonical(self) == self {
-			idx[k] = len(keys)
-			keys = append(keys, k)
+// (merge operators) whose arguments, outside the component, are all one
+// value: the whole web canonicalizes to that value. Components are
+// processed in dependency order (arguments before the φs that use them),
+// so chained webs collapse in one pass.
+func collapsePhiWebs(d *dfg.Graph, phis []dfg.OpID, canon []dfg.OpID, canonical func(dfg.OpID) dfg.OpID, resolve func(dfg.Src) dfg.OpID) {
+	// Number the φs still canonical to themselves; idx[o] is -1 for every
+	// other operator.
+	keys := make([]dfg.OpID, 0, len(phis))
+	idx := make([]int, len(d.Ops))
+	for i := range idx {
+		idx[i] = -1
+	}
+	for _, p := range phis {
+		if canon[p] == p {
+			idx[p] = len(keys)
+			keys = append(keys, p)
 		}
 	}
 	if len(keys) == 0 {
 		return
 	}
-	// Argument graph among live φs.
-	d := graph.NewDirected(len(keys))
-	for _, k := range keys {
-		for _, a := range f.Phis[k].Args {
-			ca := canonical(a)
-			if ca.Kind == ValPhi {
-				if j, ok := idx[PhiKey{ca.Node, ca.Var}]; ok {
-					d.AddEdge(idx[k], j)
-				}
+	// Argument graph among live φs: at most one edge per argument.
+	deg := make([]int, len(keys))
+	for i, k := range keys {
+		deg[i] = len(d.Ops[k].In)
+	}
+	g := graph.NewDirectedDegrees(deg)
+	for i, k := range keys {
+		for _, in := range d.Ops[k].In {
+			if j := idx[canonical(resolve(in))]; j >= 0 {
+				g.AddEdge(i, j)
 			}
 		}
 	}
-	comp, n := graph.SCC(d)
-	members := make([][]int, n)
-	for i, c := range comp {
-		members[c] = append(members[c], i)
-	}
+	comp, n := graph.SCC(g)
+	memOff, members := graph.Group(n, len(comp), func(i int) int { return comp[i] })
 	// SCC numbering has successors (arguments) in lower-numbered
 	// components; process them first.
 	for c := 0; c < n; c++ {
-		inSCC := map[PhiKey]bool{}
-		for _, i := range members[c] {
-			inSCC[keys[i]] = true
-		}
-		var external Value
-		seen, uniform := false, true
-		for _, i := range members[c] {
-			for _, a := range f.Phis[keys[i]].Args {
-				ca := canonical(a)
-				if ca.Kind == ValPhi && inSCC[PhiKey{ca.Node, ca.Var}] {
+		external := dfg.NoOp
+		uniform := true
+		for _, i := range members[memOff[c]:memOff[c+1]] {
+			for _, in := range d.Ops[keys[i]].In {
+				ca := canonical(resolve(in))
+				if j := idx[ca]; j >= 0 && comp[j] == c {
 					continue // internal reference
 				}
-				if !seen {
-					external, seen = ca, true
+				if external == dfg.NoOp {
+					external = ca
 				} else if ca != external {
 					uniform = false
 				}
 			}
 		}
-		if seen && uniform {
-			for _, i := range members[c] {
+		if external != dfg.NoOp && uniform {
+			for _, i := range members[memOff[c]:memOff[c+1]] {
 				canon[keys[i]] = external
 			}
 		}

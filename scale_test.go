@@ -50,11 +50,8 @@ func TestPipelineAtScale(t *testing.T) {
 	}
 
 	// Constant propagation agreement at scale.
-	a, b := constprop.CFG(g), constprop.DFG(d)
-	for k, va := range a.UseVals {
-		if b.UseVals[k] != va {
-			t.Fatalf("constprop mismatch at %v", k)
-		}
+	if err := constprop.Agree(constprop.CFG(g), constprop.DFG(d)); err != nil {
+		t.Fatalf("constprop mismatch: %v", err)
 	}
 
 	// Factored CDG partition at scale: a sane class count, and every
