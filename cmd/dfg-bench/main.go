@@ -6,18 +6,17 @@
 //
 // Usage:
 //
-//	dfg-bench [-exp E1|E2|...|E12|all] [-quick] [-cpuprofile f] [-memprofile f]
-//	dfg-bench -stagejson BENCH.json [-stagerepeats n]
-//	dfg-bench -sweep BENCH_parallel.json [-sweeprepeats n]
-//	dfg-bench -bytecode BENCH_bytecode.json [-bcrepeats n]
+//	dfg-bench [-exp E1|E2|...|E14|all] [-quick] [-cpuprofile f] [-memprofile f]
+//	dfg-bench -ledger BENCH_ledger.json [-repeats n]
 //
 // -quick shrinks the scaling sweeps (used by the repository's tests to keep
 // CI fast); the full sweeps take a few seconds. -cpuprofile and -memprofile
 // write pprof profiles covering the selected experiments, for digging into
 // a regression the pipeline's alloc counters or the bench smoke surfaced.
-// -stagejson emits the per-stage cold-timing record; -sweep runs the
-// GOMAXPROCS parallelism sweep (see sweep.go) and fails the process when a
-// sweep gate fails.
+// -ledger skips the experiments and writes the performance ledger (see
+// ledger.go): per-stage cold timings and corpus sizes, the bytecode
+// frontend's phases, and the GOMAXPROCS parallelism sweep, whose gates fail
+// the process when one reads FAIL.
 package main
 
 import (
@@ -31,16 +30,12 @@ import (
 )
 
 var (
-	flagExp       = flag.String("exp", "all", "experiment id (E1..E12) or all")
-	flagQuick     = flag.Bool("quick", false, "smaller scaling sweeps")
-	flagCPU       = flag.String("cpuprofile", "", "write a CPU profile to this file")
-	flagMem       = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flagStageJSON = flag.String("stagejson", "", "skip experiments; emit a per-stage cold timing JSON record to this file ('-' for stdout)")
-	flagStageReps = flag.Int("stagerepeats", 5, "cold corpus passes averaged by -stagejson")
-	flagSweep     = flag.String("sweep", "", "skip experiments; run the GOMAXPROCS parallelism sweep and write its JSON record (BENCH_parallel.json) to this file ('-' for stdout)")
-	flagSweepReps = flag.Int("sweeprepeats", 3, "passes per sweep point (best-of)")
-	flagBCJSON    = flag.String("bytecode", "", "skip experiments; emit the bytecode-frontend timing JSON record (BENCH_bytecode.json) to this file ('-' for stdout)")
-	flagBCReps    = flag.Int("bcrepeats", 5, "corpus passes averaged by -bytecode")
+	flagExp    = flag.String("exp", "all", "experiment id (E1..E14) or all")
+	flagQuick  = flag.Bool("quick", false, "smaller scaling sweeps")
+	flagCPU    = flag.String("cpuprofile", "", "write a CPU profile to this file")
+	flagMem    = flag.String("memprofile", "", "write a heap profile to this file on exit")
+	flagLedger = flag.String("ledger", "", "skip experiments; write the performance ledger (BENCH_ledger.json) to this file ('-' for stdout)")
+	flagReps   = flag.Int("repeats", 5, "passes per -ledger section (averaged, or best-of for sweep points)")
 )
 
 // experiment couples an id with its runner. Runners return an error only
@@ -107,23 +102,14 @@ func run() int {
 			log.Printf("dfg-bench: -memprofile: %v", err)
 		}
 	}()
-	if *flagStageJSON != "" {
-		if err := runStageJSON(*flagStageJSON, *flagStageReps); err != nil {
-			log.Printf("dfg-bench: -stagejson: %v", err)
+	if *flagLedger != "" {
+		failed, err := runLedger(*flagLedger, *flagReps)
+		if err != nil {
+			log.Printf("dfg-bench: -ledger: %v", err)
 			return 2
 		}
-		return 0
-	}
-	if *flagBCJSON != "" {
-		if err := runBytecodeJSON(*flagBCJSON, *flagBCReps); err != nil {
-			log.Printf("dfg-bench: -bytecode: %v", err)
-			return 2
-		}
-		return 0
-	}
-	if *flagSweep != "" {
-		if err := runSweep(*flagSweep, *flagSweepReps); err != nil {
-			log.Printf("dfg-bench: -sweep: %v", err)
+		if failed > 0 {
+			log.Printf("dfg-bench: -ledger: %d gate(s) failed", failed)
 			return 1
 		}
 		return 0

@@ -433,34 +433,43 @@ func TestCancelledRouteStopsItsCompute(t *testing.T) {
 	const heldSrc, queuedSrc = "read h; print h + 1;", "read q; print q + 2;"
 	var mu sync.Mutex
 	stages := map[string][]pipeline.Stage{}
-	itemCtx := map[string]context.Context{}
+	cancelled := map[string]chan struct{}{}
 	holding := make(chan struct{})
 	eng := pipeline.New(pipeline.Config{Workers: 1, StageHook: func(st pipeline.Stage, src string) {
 		mu.Lock()
 		stages[src] = append(stages[src], st)
-		ctx := itemCtx[src]
+		itemCancelled := cancelled[src]
 		mu.Unlock()
 		if src == heldSrc && st == pipeline.StageParse {
+			// Held until its item is cancelled, with no fallback timer: a
+			// timer that fired on a starved host would free the slot and
+			// let the queued item run. A cancel that never arrives fails
+			// wantCancelled below, and the worker's Close at cleanup then
+			// cancels the item.
 			close(holding)
-			select {
-			case <-ctx.Done():
-			case <-time.After(5 * time.Second):
-			}
+			<-itemCancelled
 		}
 	}})
 	type outcome struct {
 		res wire.Result
 		at  time.Time
 	}
-	entered := make(chan struct{}, 2)
 	outcomes := map[string]chan outcome{heldSrc: make(chan outcome, 1), queuedSrc: make(chan outcome, 1)}
 	h := backend.Handler(eng)
 	w := startEngineWorker(t, eng, func(ctx context.Context, item wire.Item) wire.Result {
+		// The analysis runs under actx, cancelled when the item is, and the
+		// hook waits until that cancel has returned: by then it has also
+		// cancelled Analyze's own context, derived from actx. Waiting on
+		// ctx.Done alone would race that propagation, so an analysis could
+		// pass its next stage boundary before seeing the cancel.
+		actx, acancel := context.WithCancel(context.Background())
+		defer acancel()
+		done := make(chan struct{})
+		defer context.AfterFunc(ctx, func() { acancel(); close(done) })()
 		mu.Lock()
-		itemCtx[item.Program] = ctx
+		cancelled[item.Program] = done
 		mu.Unlock()
-		entered <- struct{}{}
-		res := h(ctx, item)
+		res := h(actx, item)
 		outcomes[item.Program] <- outcome{res, time.Now()}
 		return res
 	})
@@ -507,9 +516,15 @@ func TestCancelledRouteStopsItsCompute(t *testing.T) {
 	qctx, qcancel := context.WithCancel(context.Background())
 	defer qcancel()
 	queued := route(qctx, queuedSrc)
-	<-entered
-	<-entered
-	time.Sleep(20 * time.Millisecond) // let the queued item park on the full semaphore
+	// Analyze counts a request before its admission wait, so a second
+	// request means the queued item is at the worker's full slot: parked
+	// there, or about to find its context cancelled when it gets there.
+	for deadline := time.Now().Add(5 * time.Second); eng.Snapshot().Requests < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("queued item never reached the worker's engine")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	wantCancelled(queuedSrc, queued, qcancel)
 	wantCancelled(heldSrc, held, hcancel)
 

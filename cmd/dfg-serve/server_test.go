@@ -210,8 +210,8 @@ func TestHealthzStatszDebugVars(t *testing.T) {
 		t.Errorf("/statsz: cfg stage reports negative allocation (alloc_bytes=%d avg=%d)",
 			st.AllocBytes, st.AvgAllocBytes)
 	}
-	// The environment fields let a recorded benchmark (BENCH_parallel.json)
-	// be cross-checked against the serving host.
+	// The environment fields let a recorded benchmark (BENCH_ledger.json's
+	// environment header) be cross-checked against the serving host.
 	if snap.GOMAXPROCS < 1 || snap.NumCPU < 1 {
 		t.Errorf("/statsz: implausible environment gomaxprocs=%d num_cpu=%d", snap.GOMAXPROCS, snap.NumCPU)
 	}

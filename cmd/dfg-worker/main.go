@@ -39,7 +39,6 @@ import (
 	"log"
 	"net"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -61,10 +60,6 @@ var (
 
 func main() {
 	flag.Parse()
-	workers := *flagWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	var st *store.Store
 	if *flagStore != "" {
@@ -79,7 +74,7 @@ func main() {
 		}
 	}
 	eng := pipeline.New(pipeline.Config{
-		Workers:            workers,
+		Workers:            *flagWorkers,
 		ReportCacheEntries: *flagReports,
 		DefaultTimeout:     *flagTimeout,
 		Store:              st,
@@ -106,7 +101,7 @@ func main() {
 		storeDesc = st.Root()
 	}
 	log.Printf("dfg-worker: listening on %s (workers=%d store=%s schema=%d proto=%d)",
-		l.Addr(), workers, storeDesc, pipeline.ReportSchemaVersion, wire.ProtoVersion)
+		l.Addr(), eng.Workers(), storeDesc, pipeline.ReportSchemaVersion, wire.ProtoVersion)
 
 	select {
 	case err := <-errc:

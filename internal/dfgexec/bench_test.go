@@ -10,10 +10,11 @@ import (
 )
 
 // The benchmarks compare the token-driven DFG executor against the direct
-// CFG interpreter on the same workload (BENCH_dfgexec.json records the
-// numbers). The executor pays for token queue traffic and operator firings
-// per CFG step, so it is expected to be slower — the point of the
-// comparison is to keep that overhead factor visible and bounded.
+// CFG interpreter on the same workload (BENCH_dfgexec.json at commit
+// 9ef4bbd recorded the numbers). The executor pays for token queue traffic
+// and operator firings per CFG step, so it is expected to be slower — the
+// point of the comparison is to keep that overhead factor visible and
+// bounded.
 
 var benchInputs = []int64{3, 1, 4, 1, 5, 9, 2, 6}
 

@@ -1,5 +1,6 @@
-// Package envinfo collects the host environment block every BENCH_*.json
-// document records next to its measurements. Benchmarks on this repository
+// Package envinfo collects the host environment block the performance
+// ledger (BENCH_ledger.json, written by dfg-bench -ledger) records next to
+// its measurements. Benchmarks on this repository
 // are re-run on whatever machine is to hand — single-core CI containers,
 // many-core developer boxes — and a number without its GOMAXPROCS/CPU
 // context is unusable for comparisons, so the tools stamp it automatically
@@ -12,8 +13,7 @@ import (
 	"strings"
 )
 
-// Info is the environment block, JSON-tagged to match the existing
-// BENCH_*.json documents.
+// Info is the environment block, the ledger's "environment" header.
 type Info struct {
 	CPU        string `json:"cpu"`
 	NumCPU     int    `json:"num_cpu"`
@@ -22,7 +22,8 @@ type Info struct {
 }
 
 // Collect snapshots the current process environment. GOMAXPROCS is read at
-// call time: the parallelism sweep changes it between measurement points.
+// call time: the ledger's parallel section changes it between measurement
+// points, so the ledger collects it before that section runs.
 func Collect() Info {
 	return Info{
 		CPU:        CPUModel(),

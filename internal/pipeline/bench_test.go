@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"testing"
 
@@ -9,8 +10,8 @@ import (
 	"dfg/internal/workload"
 )
 
-// benchCorpus is the BENCH_pipeline.json workload: 100 mixed programs, the
-// same family the parallel-safety tests use.
+// benchCorpus is 100 mixed programs, the same family the parallel-safety
+// tests and the ledger's parallel section use.
 func benchCorpus() []Request {
 	reqs := make([]Request, 100)
 	for i := range reqs {
@@ -19,9 +20,10 @@ func benchCorpus() []Request {
 	return reqs
 }
 
-// BenchmarkPipelineBatch measures engine throughput (programs/sec) across
-// the axes recorded in BENCH_pipeline.json: serial vs worker-pool batches,
-// 1 vs GOMAXPROCS workers, and computed vs report-LRU answers.
+// BenchmarkPipelineBatch measures engine throughput (programs/sec): a
+// serial cold loop, the same corpus fanned out over GOMAXPROCS workers,
+// and report-LRU answers. The ledger's parallel section (dfg-bench
+// -ledger) records the fan-out across GOMAXPROCS points.
 func BenchmarkPipelineBatch(b *testing.B) {
 	reqs := benchCorpus()
 	ctx := context.Background()
@@ -43,63 +45,13 @@ func BenchmarkPipelineBatch(b *testing.B) {
 		progsPerSec(b)
 	})
 
-	b.Run("serial-cold-retained", func(b *testing.B) {
-		// Like serial-cold but keeping every Result alive, the way the
-		// batch-cold rows do (they collect all results). This is the fair
-		// baseline for batch-cold-1worker: profiling showed the apparent
-		// batch "dispatch overhead" was entirely GC rescanning the
-		// retained results, not the worker-pool machinery.
-		for i := 0; i < b.N; i++ {
-			e := New(Config{Workers: 1})
-			results := make([]*Result, len(reqs))
-			for j, r := range reqs {
-				res, err := e.Analyze(ctx, r)
-				if err != nil {
-					b.Fatal(err)
-				}
-				results[j] = res
-			}
-			_ = results
-		}
-		progsPerSec(b)
-	})
-
-	b.Run("stream-cold-1worker", func(b *testing.B) {
-		// AnalyzeBatchStream with results dropped as they are delivered:
-		// the streaming caller's shape. Nothing is retained, so this runs
-		// against the serial-cold baseline, not serial-cold-retained — the
-		// gap between this row and batch-cold-1worker is the GC cost of
-		// keeping all 100 Results alive.
-		for i := 0; i < b.N; i++ {
-			e := New(Config{Workers: 1})
-			e.AnalyzeBatchStream(ctx, reqs, func(br BatchResult) {
-				if br.Err != nil {
-					b.Fatal(br.Err)
-				}
-			})
-		}
-		progsPerSec(b)
-	})
-
-	b.Run("batch-cold-1worker", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e := New(Config{Workers: 1})
-			for _, br := range collectBatch(ctx, b, e, reqs) {
-				if br.Err != nil {
-					b.Fatal(br.Err)
-				}
-			}
-		}
-		progsPerSec(b)
-	})
-
 	b.Run("batch-cold-maxworkers", func(b *testing.B) {
+		// One goroutine per program over Analyze, bounded only by the
+		// engine's GOMAXPROCS Workers slots.
 		for i := 0; i < b.N; i++ {
-			e := New(Config{})
-			for _, br := range collectBatch(ctx, b, e, reqs) {
-				if br.Err != nil {
-					b.Fatal(br.Err)
-				}
+			_, errs := analyzeConcurrently(ctx, New(Config{}), reqs)
+			if err := errors.Join(errs...); err != nil {
+				b.Fatal(err)
 			}
 		}
 		progsPerSec(b)

@@ -43,7 +43,6 @@ func heapAllocs() (bytes, objects int64) {
 // lookup is lock-free.
 type metrics struct {
 	requests atomic.Int64
-	batches  atomic.Int64
 	stages   map[Stage]*stageCounters
 	epr      eprCounters
 
@@ -132,7 +131,6 @@ type ReportCacheStats struct {
 // and for tests.
 type Snapshot struct {
 	Requests   int64 `json:"requests"`
-	Batches    int64 `json:"batches"`
 	GOMAXPROCS int   `json:"gomaxprocs"`
 	NumCPU     int   `json:"num_cpu"`
 
@@ -148,7 +146,6 @@ type Snapshot struct {
 func (e *Engine) Snapshot() Snapshot {
 	s := Snapshot{
 		Requests:   e.metrics.requests.Load(),
-		Batches:    e.metrics.batches.Load(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Stages:     make(map[Stage]StageStats, len(stageOrder)),

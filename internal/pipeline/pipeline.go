@@ -2,7 +2,7 @@
 // staged engine. An Engine runs the stages of one request, caches finished
 // Reports (as canonical JSON bytes) in a bounded, content-addressed LRU with
 // an optional persistent store behind it, admits at most Config.Workers
-// analyses at once, fans batches of requests across them, and exposes
+// analyses at once however many goroutines call it, and exposes
 // per-stage run/latency/allocation counters. The
 // CLI (cmd/dfg), the bench harness (cmd/dfg-bench), the worker
 // (cmd/dfg-worker) and the HTTP service (cmd/dfg-serve) all route through
@@ -307,9 +307,9 @@ type Config struct {
 	// Workers bounds the analyses the engine runs at once, process-wide:
 	// Analyze takes one of Workers slots before its first stage and holds
 	// it until its last, waiting no longer than the request's timeout or
-	// context. Every compute path shares it (a batch, a wire worker's
-	// items, dfg-serve's requests), while AnalyzeReport's cache tiers
-	// answer without a slot. <=0 means GOMAXPROCS.
+	// context. Every compute path shares it (a wire worker's items,
+	// dfg-serve's requests and batch slots), while AnalyzeReport's cache
+	// tiers answer without a slot. <=0 means GOMAXPROCS.
 	Workers        int
 	DefaultTimeout time.Duration // per-request timeout when Request.Timeout is 0; <=0 means 30s
 

@@ -163,18 +163,27 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestBatchCancellation: requests fanned out under an already-cancelled
+// context each return the context's error and run no stage.
 func TestBatchCancellation(t *testing.T) {
 	e := New(Config{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out := collectBatch(ctx, t, e, []Request{{Source: sampleSrc}, {Source: sampleSrc}})
-	for _, br := range out {
-		if br.Err == nil {
-			t.Errorf("slot %d: want cancellation error", br.Index)
+	_, errs := analyzeConcurrently(ctx, e, []Request{{Source: sampleSrc}, {Source: sampleSrc}})
+	for i, err := range errs {
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("request %d: got %v, want context.Canceled", i, err)
+		}
+	}
+	for st, ss := range e.Snapshot().Stages {
+		if ss.Runs != 0 {
+			t.Errorf("stage %s ran %d times under a cancelled context", st, ss.Runs)
 		}
 	}
 }
 
+// TestBatchIsolatesBadRequests: one malformed program among concurrent good
+// ones fails alone.
 func TestBatchIsolatesBadRequests(t *testing.T) {
 	e := New(Config{Workers: 4})
 	reqs := []Request{
@@ -182,12 +191,12 @@ func TestBatchIsolatesBadRequests(t *testing.T) {
 		{Source: "if ("}, // parse error
 		{Source: sampleSrc},
 	}
-	out := collectBatch(context.Background(), t, e, reqs)
-	if out[0].Err != nil || out[2].Err != nil {
-		t.Fatalf("good requests failed: %v / %v", out[0].Err, out[2].Err)
+	_, errs := analyzeConcurrently(context.Background(), e, reqs)
+	if errs[0] != nil || errs[2] != nil {
+		t.Fatalf("good requests failed: %v / %v", errs[0], errs[2])
 	}
-	if out[1].Err == nil {
-		t.Fatal("malformed request must fail its own slot")
+	if errs[1] == nil {
+		t.Fatal("malformed request must fail on its own")
 	}
 }
 
@@ -215,26 +224,23 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// collectBatch runs reqs through AnalyzeBatchStream and returns the results
-// index-aligned with reqs, failing tb unless every slot is delivered
-// exactly once.
-func collectBatch(ctx context.Context, tb testing.TB, e *Engine, reqs []Request) []BatchResult {
-	tb.Helper()
-	out := make([]BatchResult, len(reqs))
-	seen := make([]bool, len(reqs))
-	e.AnalyzeBatchStream(ctx, reqs, func(br BatchResult) {
-		if seen[br.Index] {
-			tb.Errorf("slot %d delivered twice", br.Index)
-		}
-		seen[br.Index] = true
-		out[br.Index] = br
-	})
-	for i, ok := range seen {
-		if !ok {
-			tb.Fatalf("slot %d never delivered", i)
-		}
+// analyzeConcurrently runs every request on its own goroutine over
+// e.Analyze, bounded only by the engine's Workers slots — the shape of
+// dfg-serve's batch slots and of a wire worker serving many connections —
+// and returns the outcomes index-aligned with reqs.
+func analyzeConcurrently(ctx context.Context, e *Engine, reqs []Request) ([]*Result, []error) {
+	res := make([]*Result, len(reqs))
+	errs := make([]error, len(reqs))
+	var wg sync.WaitGroup
+	for i, r := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], errs[i] = e.Analyze(ctx, r)
+		}()
 	}
-	return out
+	wg.Wait()
+	return res, errs
 }
 
 // serialReport runs the underlying analysis packages directly — no engine,
@@ -334,9 +340,9 @@ func TestParallelSubtestsShareEngine(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSerial drives the same corpus through AnalyzeBatchStream
-// twice and asserts every slot is delivered once and equals the serial
-// result. The engine keeps no artifacts between batches, so the second pass
+// TestBatchMatchesSerial fans the same corpus out over one engine twice,
+// one goroutine per program, and asserts every result equals the serial
+// result. The engine keeps no artifacts between passes, so the second pass
 // recomputes every stage.
 func TestBatchMatchesSerial(t *testing.T) {
 	srcs := mixedSources(100)
@@ -347,23 +353,19 @@ func TestBatchMatchesSerial(t *testing.T) {
 	}
 	e := New(Config{})
 	for pass := 0; pass < 2; pass++ {
-		out := collectBatch(context.Background(), t, e, reqs)
-		for _, br := range out {
-			if br.Err != nil {
-				t.Fatalf("pass %d slot %d: %v", pass, br.Index, br.Err)
+		res, errs := analyzeConcurrently(context.Background(), e, reqs)
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("pass %d request %d: %v", pass, i, err)
 			}
-			want := wantAll[srcs[br.Index]]
-			if got := reportJSON(t, br.Result.Report()); got != want {
-				t.Errorf("pass %d slot %d: batch disagrees with serial\n got: %s\nwant: %s",
-					pass, br.Index, got, want)
+			want := wantAll[srcs[i]]
+			if got := reportJSON(t, res[i].Report()); got != want {
+				t.Errorf("pass %d request %d: concurrent result disagrees with serial\n got: %s\nwant: %s",
+					pass, i, got, want)
 			}
 		}
 	}
-	snap := e.Snapshot()
-	if snap.Batches != 2 {
-		t.Errorf("batches=%d, want 2", snap.Batches)
-	}
-	if n := snap.Stages[StageDFG].Runs; n != int64(2*len(srcs)) {
+	if n := e.Snapshot().Stages[StageDFG].Runs; n != int64(2*len(srcs)) {
 		t.Errorf("dfg ran %d times over two passes, want %d", n, 2*len(srcs))
 	}
 }

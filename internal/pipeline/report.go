@@ -4,8 +4,8 @@ import "dfg/internal/oracle"
 
 // Report is the wire-format summary of a Result: plain data, deterministic,
 // and cheap to marshal. cmd/dfg-serve returns it from POST /analyze, and
-// the parallel-safety tests compare Reports to prove batch and serial
-// execution agree.
+// the parallel-safety tests compare Reports to prove concurrent and
+// serial execution agree.
 type Report struct {
 	Parse     *ParseReport     `json:"parse,omitempty"`
 	Bytecode  *BytecodeReport  `json:"bytecode,omitempty"`
